@@ -14,14 +14,14 @@ object Celf {
     require(k >= 1, "k must be at least 1")
     val s = new CandidateState(engine, q)
     val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
-    val evaluated = mutable.HashSet.empty[Long]
+    var evaluated = 0
 
     // First greedy round: evaluate f({e}, x) from scratch for every active
     // element. CELF has no index: it may NOT read the maintained ranked-list
     // scores (that is exactly the advantage MTTS/MTTD are measured against).
     engine.activeElements.foreach { ae =>
       val d = s.gain(ae)
-      evaluated.add(ae.elem.id)
+      evaluated += 1
       if (d > 0.0) heap.enqueue((d, ae.elem.id))
     }
 
@@ -38,6 +38,6 @@ object Celf {
         case None =>
       }
     }
-    KSirResult(s.members, s.score, evaluated.size, evaluated.size)
+    KSirResult(s.members, s.score, evaluated, evaluated)
   }
 }

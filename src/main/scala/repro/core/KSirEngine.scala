@@ -140,13 +140,18 @@ final class KSirEngine(
     * id, descending, so ordering is total and deterministic).
     */
   private val lists: Array[mutable.TreeSet[(Double, Long)]] =
-    Array.fill(model.z)(mutable.TreeSet.empty[(Double, Long)](
-      Ordering.Tuple2(Ordering[Double].reverse, Ordering[Long].reverse)))
+    Array.fill(model.z)(mutable.TreeSet.empty[(Double, Long)](KSirEngine.ListOrder))
 
   /** Current scores of each element in each list it appears in, so stale
     * tuples can be located and removed on adjustment.
     */
   private val listed = mutable.LongMap.empty[Array[Double]]
+
+  /** One (ts, id) event per inserted element and per resolved reference to a
+    * parent; an id is checked for expiry when one of its events leaves the
+    * window.
+    */
+  private val events = new KSirEngine.EventHeap
 
   private var nowTs: Long = 0L
 
@@ -181,6 +186,7 @@ final class KSirEngine(
       archive(e.id) = e
       active(e.id) = ae
       insertIntoLists(ae)
+      events.push(e.ts, e.id)
       e.refs.foreach { pid =>
         val parentOpt = active.get(pid).orElse {
           // Resurrect a discarded element the moment it is referred again:
@@ -197,21 +203,27 @@ final class KSirEngine(
           parent.addChild(ChildRef(e.id, e.ts, e.topics))
           parent.lastReferred = math.max(parent.lastReferred, e.ts)
           refreshLists(parent)
+          events.push(e.ts, pid)
         }
       }
     }
 
-    // Expire: drop elements never referred to after t-T+1; for survivors,
-    // drop expired children and refresh their influence scores. (The paper's
-    // Algorithm 1 only deletes expired tuples; refreshing parents of expired
-    // children is required for δ_i to match Equation 4 exactly — see DESIGN.)
-    val expired = active.valuesIterator.filter(_.lastReferred < windowStart).map(_.elem.id).toArray
-    expired.foreach { id =>
-      removeFromLists(active(id))
-      active.remove(id)
-    }
-    active.valuesIterator.foreach { ae =>
-      if (ae.expireChildren(windowStart)) refreshLists(ae)
+    // Expire, in O(expired events) rather than O(n_t): every active element
+    // keeps an unpopped event at or before its lastReferred, and every
+    // in-window child one on its parent, so each element that leaves A_t and
+    // each parent with an expiring child is popped here. Drop elements never
+    // referred to at or after t-T+1; for survivors, drop expired children and
+    // refresh their influence scores. (The paper's Algorithm 1 only deletes
+    // expired tuples; refreshing parents of expired children is required for
+    // δ_i to match Equation 4 exactly — see DESIGN §6b.) Stale events find
+    // their id absent, or still referred.
+    while (events.nonEmpty && events.minTs < windowStart) {
+      active.get(events.popId()).foreach { ae =>
+        if (ae.lastReferred < windowStart) {
+          removeFromLists(ae)
+          active.remove(ae.elem.id)
+        } else if (ae.expireChildren(windowStart)) refreshLists(ae)
+      }
     }
   }
 
@@ -271,5 +283,68 @@ final class KSirEngine(
     val cs = new CandidateState(this, q)
     ids.foreach(id => active.get(id).foreach(cs.add))
     cs.score
+  }
+}
+
+object KSirEngine {
+
+  /** Ranked-list order: score descending, then id descending. The same total
+    * order as `Ordering.Tuple2(Ordering[Double].reverse, Ordering[Long].reverse)`
+    * (including −0.0 and NaN) without boxing either field on each compare.
+    */
+  private object ListOrder extends Ordering[(Double, Long)] {
+    def compare(a: (Double, Long), b: (Double, Long)): Int = {
+      val c = java.lang.Double.compare(b._1, a._1)
+      if (c != 0) c else java.lang.Long.compare(b._2, a._2)
+    }
+  }
+
+  /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.
+    * A heap rather than a FIFO, so expiry stays exact when a bucket carries
+    * timestamps older than an earlier bucket's.
+    */
+  private final class EventHeap {
+    private var ts = new Array[Long](64)
+    private var ids = new Array[Long](64)
+    private var n = 0
+
+    def nonEmpty: Boolean = n > 0
+
+    def minTs: Long = ts(0)
+
+    def push(t: Long, id: Long): Unit = {
+      if (n == ts.length) {
+        ts = java.util.Arrays.copyOf(ts, 2 * n)
+        ids = java.util.Arrays.copyOf(ids, 2 * n)
+      }
+      var i = n
+      n += 1
+      while (i > 0 && ts((i - 1) / 2) > t) {
+        val p = (i - 1) / 2
+        ts(i) = ts(p); ids(i) = ids(p)
+        i = p
+      }
+      ts(i) = t; ids(i) = id
+    }
+
+    /** Removes the event with the least ts and returns its id. */
+    def popId(): Long = {
+      val top = ids(0)
+      n -= 1
+      val t = ts(n)
+      val id = ids(n)
+      var i = 0
+      var c = 1
+      while (c < n) {
+        if (c + 1 < n && ts(c + 1) < ts(c)) c += 1
+        if (ts(c) < t) {
+          ts(i) = ts(c); ids(i) = ids(c)
+          i = c
+          c = 2 * c + 1
+        } else c = n
+      }
+      ts(i) = t; ids(i) = id
+      top
+    }
   }
 }

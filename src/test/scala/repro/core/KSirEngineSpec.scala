@@ -141,4 +141,130 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(eng.childCount(1) == 2)
     assert(eng.childCount(99) == 0)
   }
+
+  test("an element older than its bucket's window start is inserted and expired in the same advance") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    // Window [7,10]: e2 (ts 3) is late; e3 (ts 9) is in the window.
+    eng.advance(Bucket(10, Seq(
+      el(2, 3, Seq(1), Seq(0 -> 1.0), refs = Seq(1)),
+      el(3, 9, Seq(1), Seq(0 -> 1.0), refs = Seq(1)),
+      el(4, 2, Seq(2), Seq(1 -> 1.0)),
+    )))
+    assert(eng.activeElement(2).isEmpty && eng.activeElement(4).isEmpty, "late elements expire at once")
+    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L), "the late child is dropped")
+    assert(eng.activeElement(1).get.influence(0) == 1.0)
+    assert(eng.rankedList(0).map(_._2).toSet == Set(1L, 3L))
+    assert(eng.rankedListSize(1) == 0)
+  }
+
+  test("a bucket older than the previous bucket still expires on time") {
+    val eng = mk()
+    eng.advance(Bucket(5, Seq(el(1, 5, Seq(0), Seq(0 -> 1.0)))))
+    eng.advance(Bucket(6, Seq(el(2, 3, Seq(1), Seq(0 -> 1.0))))) // window [3,6]
+    assert(eng.activeElement(2).isDefined)
+    eng.advance(Bucket(7, Seq.empty)) // window [4,7]: e2 leaves although e1 is younger
+    assert(eng.activeElement(2).isEmpty, "expired behind a younger element")
+    assert(eng.activeElement(1).isDefined)
+    eng.advance(Bucket(9, Seq.empty)) // window [6,9]
+    assert(eng.activeCount == 0 && eng.rankedListSize(0) == 0)
+  }
+
+  test("a parent referred at several times expires only after its last reference leaves") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    eng.advance(Bucket(3, Seq(el(3, 3, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    eng.advance(Bucket(5, Seq.empty)) // window [2,5]: e1's own ts left, both refs in
+    assert(eng.childCount(1) == 2)
+    eng.advance(Bucket(6, Seq.empty)) // window [3,6]: first reference left
+    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L))
+    assert(eng.rankedList(0).toSeq.contains((eng.activeElement(1).get.delta(0), 1L)))
+    eng.advance(Bucket(7, Seq.empty)) // window [4,7]: last reference left
+    assert(eng.activeElement(1).isEmpty)
+    assert(!eng.rankedList(0).exists(_._2 == 1L))
+  }
+
+  test("a resurrected element is neither dropped nor refreshed by stale references") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    eng.advance(Bucket(3, Seq(el(2, 3, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    eng.advance(Bucket(7, Seq.empty)) // window [4,7]: e1 and e2 leave
+    assert(eng.activeElement(1).isEmpty)
+    // Window [9,12]: the late e3 resurrects e1 first, then e4 refers to it in the window.
+    eng.advance(Bucket(12, Seq(
+      el(3, 5, Seq(1), Seq(0 -> 1.0), refs = Seq(1)),
+      el(4, 10, Seq(1), Seq(0 -> 1.0), refs = Seq(1)),
+    )))
+    val ae = eng.activeElement(1).get
+    assert(ae.children.map(_.childId).toSeq == Seq(4L), "only the in-window child counts")
+    assert(ae.influence(0) == 1.0)
+    assert(eng.rankedList(0).toSeq.contains((ae.delta(0), 1L)))
+    eng.advance(Bucket(13, Seq.empty))
+    assert(eng.activeElement(1).isDefined, "kept alive by e4 until t=13")
+    eng.advance(Bucket(14, Seq.empty))
+    assert(eng.activeElement(1).isEmpty)
+    assert(eng.activeCount == 0)
+  }
+
+  test("a gap longer than T of empty buckets empties the window and every ranked list") {
+    val g = repro.data.SocialStreamGen.generate(
+      repro.data.StreamConfig("gap", 80, 100, 6, 5, 1.5, 600, 600, seed = 4L))
+    val eng = new KSirEngine(g.model, 300, 0.5, 5.0)
+    Bucket.bucketize(g.elements, 50, 600).foreach(eng.advance)
+    assert(eng.activeCount > 0)
+    (650L to 1000L by 50L).foreach(t => eng.advance(Bucket(t, Seq.empty)))
+    assert(eng.activeCount == 0)
+    (0 until 6).foreach(t => assert(eng.rankedListSize(t) == 0, s"topic $t"))
+    val fresh = g.elements.head.copy(id = 10000L, ts = 1001L, refs = Array(g.elements.last.id))
+    eng.advance(Bucket(1001, Seq(fresh)))
+    assert(eng.activeElements.map(_.elem.id).toSet == Set(10000L, g.elements.last.id))
+  }
+
+  test("after every bucket, A_t and each ranked list match a from-scratch evaluation") {
+    // References reach back 4T, so discarded elements are resurrected.
+    Seq(3L, 8L).foreach { seed =>
+      val window = 200L
+      val g = repro.data.SocialStreamGen.generate(
+        repro.data.StreamConfig("diff", 300, 150, 6, 5, 2.0, 1200, 800, seed = seed))
+      val eng = new KSirEngine(g.model, window, 0.5, 5.0)
+      var seen = Vector.empty[Element]
+      var dropped = Set.empty[Long]
+      var resurrected = 0
+      Bucket.bucketize(g.elements, 50, 1200).foreach { b =>
+        eng.advance(b)
+        seen ++= b.elements
+        val ws = b.endTs - window + 1
+        val inWindow = seen.filter(_.ts >= ws).sortBy(e => (e.ts, e.id))
+        val children = inWindow.flatMap(c => c.refs.map(_ -> c)).groupMap(_._1)(_._2)
+        val expected = inWindow.map(_.id).toSet ++ children.keySet
+        val actual = eng.activeElements.map(_.elem.id).toSet
+        assert(actual == expected, s"seed $seed, A_t at t=${b.endTs}")
+        resurrected += (actual & dropped).size
+        dropped = seen.map(_.id).toSet -- actual
+        val byId = seen.map(e => e.id -> e).toMap
+        expected.foreach { id =>
+          val kids = children.getOrElse(id, Vector.empty)
+          assert(eng.activeElement(id).get.children.map(_.childId).toSeq == kids.map(_.id), s"children of e$id")
+        }
+        (0 until 6).foreach { t =>
+          val list = eng.rankedList(t).toSeq
+          assert(list.map(_._2).toSet == expected.filter(byId(_).pTopic(t) > 0), s"RL_$t at t=${b.endTs}")
+          assert(list == list.sortBy(x => (-x._1, -x._2)), s"RL_$t order")
+          list.foreach { case (score, id) =>
+            val e = byId(id)
+            val pe = e.pTopic(t)
+            val r = e.wordFreqs.map { case (w, f) =>
+              val p = g.model.pWord(t, w) * pe
+              if (p > 0.0) -f * p * math.log(p) else 0.0
+            }.sum
+            val infl = pe * children.getOrElse(id, Vector.empty).map(_.pTopic(t)).sum
+            val delta = 0.5 * r + 0.5 / 5.0 * infl
+            assert(math.abs(score - delta) < 1e-9, s"δ_$t(e$id) at t=${b.endTs}")
+          }
+        }
+      }
+      assert(resurrected > 0, s"seed $seed: the stream must exercise resurrection")
+    }
+  }
 }
