@@ -2,11 +2,8 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A reference from a child element within the current window to a parent.
-  * The child's topic distribution is snapshotted so influence scores can be
-  * recomputed without a lookup race during expiry.
-  */
-final case class ChildRef(childId: Long, childTs: Long, childTopics: Array[(Int, Double)])
+/** A reference from a child element within the current window to a parent. */
+final case class ChildRef(childId: Long, childTs: Long)
 
 /** An element held in the active window together with all per-topic state the
   * ranked lists need: the static semantic score `R_i(e)`, the word weights
@@ -14,8 +11,9 @@ final case class ChildRef(childId: Long, childTs: Long, childTopics: Array[(Int,
   * timestamp `t_e` when the element was last referred to (its own arrival
   * counts, per Algorithm 1).
   *
-  * All per-topic arrays are aligned with `elem.topics` (the element's sparse
-  * topic support).
+  * All per-topic state lives in flat primitive arrays indexed by the topic's
+  * slot `j` in `elem.topics` (the element's sparse topic support); see
+  * DESIGN §6c.
   */
 final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, eta: Double) {
 
@@ -25,57 +23,104 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   /** In-window children: elements of W_t that refer to this element. */
   val children = mutable.ArrayBuffer.empty[ChildRef]
 
-  /** σ_i(w,e) for each distinct word, one array per supported topic. */
-  val sigma: Array[Array[(Int, Double)]] = elem.topics.map { case (i, pe) =>
-    elem.wordFreqs.map { case (w, freq) =>
-      val p = model.pWord(i, w) * pe
-      val s = if (p > 0.0) -freq * p * math.log(p) else 0.0
-      (w, s)
-    }
+  /** Supported topic ids and p_i(e), aligned with `elem.topics`. */
+  val topicIds: Array[Int] = elem.topics.map(_._1)
+  val topicP: Array[Double] = elem.topics.map(_._2)
+
+  /** Distinct word ids, shared by every row of [[sigma]]. */
+  val wordIds: Array[Int] = {
+    val freqs = elem.wordFreqs
+    val ids = new Array[Int](freqs.length)
+    var k = 0
+    while (k < ids.length) { ids(k) = freqs(k)._1; k += 1 }
+    ids
   }
 
-  /** R_i(e): semantic score per supported topic (static). */
-  val rScore: Array[Double] = sigma.map(_.map(_._2).sum)
+  /** σ_i(w,e): `sigma(j)(k)` for topic `topicIds(j)` and word `wordIds(k)`. */
+  val sigma: Array[Array[Double]] = {
+    val freqs = elem.wordFreqs
+    val rows = new Array[Array[Double]](topicIds.length)
+    var j = 0
+    while (j < rows.length) {
+      val row = new Array[Double](freqs.length)
+      var k = 0
+      while (k < row.length) {
+        val freq = freqs(k)._2
+        val p = model.pWord(topicIds(j), wordIds(k)) * topicP(j)
+        row(k) = if (p > 0.0) -freq * p * math.log(p) else 0.0
+        k += 1
+      }
+      rows(j) = row
+      j += 1
+    }
+    rows
+  }
+
+  /** R_i(e): semantic score per supported topic (static). Summed left to
+    * right from the first entry, as `Array[Double].sum` does.
+    */
+  val rScore: Array[Double] = sigma.map { row =>
+    var s = if (row.length == 0) 0.0 else row(0)
+    var k = 1
+    while (k < row.length) { s += row(k); k += 1 }
+    s
+  }
 
   /** Σ_{c ∈ children} p_i(c) per supported topic; I_{i,t}(e) = p_i(e)·sum. */
-  private val childPSum: Array[Double] = new Array[Double](elem.topics.length)
+  private val childPSum: Array[Double] = new Array[Double](topicIds.length)
 
-  private def entryIdx(topic: Int): Int = {
+  private var childPBuf: Array[Double] = ActiveElement.NoChildP
+
+  /** p_i(c) of each child c per supported topic i, child-major:
+    * `childP(c * topicIds.length + j)`, aligned with `children`.
+    */
+  private[core] def childP: Array[Double] = childPBuf
+
+  /** Slot of `topic` in the support, or -1 outside it. */
+  def topicIndex(topic: Int): Int = {
     var j = 0
-    while (j < elem.topics.length) { if (elem.topics(j)._1 == topic) return j; j += 1 }
+    while (j < topicIds.length) { if (topicIds(j) == topic) return j; j += 1 }
     -1
   }
 
   /** I_{i,t}(e) for the singleton set (Equation 4 with S = {e}). */
   def influence(topic: Int): Double = {
-    val j = entryIdx(topic)
-    if (j < 0) 0.0 else elem.topics(j)._2 * childPSum(j)
+    val j = topicIndex(topic)
+    if (j < 0) 0.0 else topicP(j) * childPSum(j)
   }
 
   /** R_i(e), 0 outside the element's topic support. */
   def semantic(topic: Int): Double = {
-    val j = entryIdx(topic)
+    val j = topicIndex(topic)
     if (j < 0) 0.0 else rScore(j)
   }
 
   /** δ_i(e) = f_i({e}) = λ·R_i(e) + (1-λ)/η·I_{i,t}(e). */
   def delta(topic: Int): Double = {
-    val j = entryIdx(topic)
-    if (j < 0) 0.0
-    else lambda * rScore(j) + (1.0 - lambda) / eta * elem.topics(j)._2 * childPSum(j)
+    val j = topicIndex(topic)
+    if (j < 0) 0.0 else deltaAt(j)
   }
 
-  /** σ_i(w,e) pairs for a topic, empty outside the support. */
+  /** δ_i(e) for the topic in slot `j`. */
+  def deltaAt(j: Int): Double = lambda * rScore(j) + (1.0 - lambda) / eta * topicP(j) * childPSum(j)
+
+  /** σ_i(w,e) pairs for a topic, empty outside the support (for tests). */
   def sigmaFor(topic: Int): Array[(Int, Double)] = {
-    val j = entryIdx(topic)
-    if (j < 0) Array.empty else sigma(j)
+    val j = topicIndex(topic)
+    if (j < 0) Array.empty else wordIds.zip(sigma(j))
   }
 
-  private[core] def addChild(c: ChildRef): Unit = {
-    children += c
+  private[core] def addChild(child: Element): Unit = {
+    val stride = topicIds.length
+    val at = children.length * stride
+    if (at + stride > childPBuf.length)
+      childPBuf = java.util.Arrays.copyOf(childPBuf, math.max(4 * stride, 2 * childPBuf.length))
+    children += ChildRef(child.id, child.ts)
     var j = 0
-    while (j < elem.topics.length) {
-      childPSum(j) += pOf(c.childTopics, elem.topics(j)._1)
+    while (j < stride) {
+      val p = child.pTopic(topicIds(j))
+      childPBuf(at + j) = p
+      childPSum(j) += p
       j += 1
     }
   }
@@ -83,26 +128,37 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   /** Drop children with ts < windowStart; returns true if any were dropped. */
   private[core] def expireChildren(windowStart: Long): Boolean = {
     val before = children.length
-    if (before == 0) return false
-    val kept = children.filter(_.childTs >= windowStart)
-    if (kept.length == before) return false
-    children.clear(); children ++= kept
+    val stride = topicIds.length
+    var kept = 0
+    var c = 0
+    while (c < before) {
+      val ref = children(c)
+      if (ref.childTs >= windowStart) {
+        if (kept != c) {
+          children(kept) = ref
+          System.arraycopy(childPBuf, c * stride, childPBuf, kept * stride, stride)
+        }
+        kept += 1
+      }
+      c += 1
+    }
+    if (kept == before) return false
+    children.dropRightInPlace(before - kept)
     // Recompute sums from scratch to avoid float drift accumulating.
     var j = 0
-    while (j < elem.topics.length) {
+    while (j < stride) {
       var s = 0.0
-      kept.foreach(c => s += pOf(c.childTopics, elem.topics(j)._1))
+      c = 0
+      while (c < kept) { s += childPBuf(c * stride + j); c += 1 }
       childPSum(j) = s
       j += 1
     }
     true
   }
+}
 
-  private def pOf(topics: Array[(Int, Double)], topic: Int): Double = {
-    var j = 0
-    while (j < topics.length) { if (topics(j)._1 == topic) return topics(j)._2; j += 1 }
-    0.0
-  }
+object ActiveElement {
+  private val NoChildP = new Array[Double](0)
 }
 
 /** The k-SIR maintenance engine (Figure 4): the Active Window `A_t`, the
@@ -200,7 +256,7 @@ final class KSirEngine(
           }
         }
         parentOpt.foreach { parent =>
-          parent.addChild(ChildRef(e.id, e.ts, e.topics))
+          parent.addChild(e)
           parent.lastReferred = math.max(parent.lastReferred, e.ts)
           refreshLists(parent)
           events.push(e.ts, pid)
@@ -228,13 +284,12 @@ final class KSirEngine(
   }
 
   private def insertIntoLists(ae: ActiveElement): Unit = {
-    val scores = new Array[Double](ae.elem.topics.length)
+    val scores = new Array[Double](ae.topicIds.length)
     var j = 0
-    while (j < ae.elem.topics.length) {
-      val topic = ae.elem.topics(j)._1
-      val s = ae.delta(topic)
+    while (j < scores.length) {
+      val s = ae.deltaAt(j)
       scores(j) = s
-      lists(topic).add((s, ae.elem.id))
+      lists(ae.topicIds(j)).add((s, ae.elem.id))
       j += 1
     }
     listed(ae.elem.id) = scores
@@ -243,9 +298,9 @@ final class KSirEngine(
   private def refreshLists(ae: ActiveElement): Unit = {
     val scores = listed(ae.elem.id)
     var j = 0
-    while (j < ae.elem.topics.length) {
-      val topic = ae.elem.topics(j)._1
-      val s = ae.delta(topic)
+    while (j < scores.length) {
+      val topic = ae.topicIds(j)
+      val s = ae.deltaAt(j)
       if (s != scores(j)) {
         lists(topic).remove((scores(j), ae.elem.id))
         lists(topic).add((s, ae.elem.id))
@@ -258,8 +313,8 @@ final class KSirEngine(
   private def removeFromLists(ae: ActiveElement): Unit = {
     val scores = listed(ae.elem.id)
     var j = 0
-    while (j < ae.elem.topics.length) {
-      lists(ae.elem.topics(j)._1).remove((scores(j), ae.elem.id))
+    while (j < scores.length) {
+      lists(ae.topicIds(j)).remove((scores(j), ae.elem.id))
       j += 1
     }
     listed.remove(ae.elem.id)
@@ -274,7 +329,12 @@ final class KSirEngine(
   /** δ(e, x) = Σ_i x_i δ_i(e) for an active element. */
   def deltaScore(ae: ActiveElement, q: QueryVector): Double = {
     var s = 0.0
-    q.entries.foreach { case (i, xi) => s += xi * ae.delta(i) }
+    var j = 0
+    while (j < q.entries.length) {
+      val e = q.entries(j)
+      s += e._2 * ae.delta(e._1)
+      j += 1
+    }
     s
   }
 

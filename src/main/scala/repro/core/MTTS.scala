@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** MULTI-TOPIC THRESHOLDSTREAM (Algorithm 2): threshold-bucket candidates fed
   * from the ranked lists in decreasing order of x-weighted topic score, with
   * early termination once the upper bound UB(x) on unretrieved elements falls
@@ -12,25 +10,35 @@ import scala.collection.mutable
   */
 object MTTS {
 
+  /** Candidate S_j with its admission threshold τ_j = φ_j / 2k. */
+  private final class Candidate(val tau: Double, val state: CandidateState)
+
   def query(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double): KSirResult = {
     require(k >= 1, "k must be at least 1")
     require(epsilon > 0 && epsilon < 1, "ε must lie in (0,1)")
 
     val cursor = new RankedListCursor(engine, q)
     val logBase = math.log1p(epsilon)
-    // Candidates keyed by exponent j, φ = (1+ε)^j.
-    val candidates = mutable.SortedMap.empty[Int, CandidateState]
+    // Candidates for φ_j = (1+ε)^j, in ascending j from jLo.
+    var candidates = new Array[Candidate](0)
+    var jLo = 0
     var deltaMax = 0.0
     var evaluated = 0
 
-    def phi(j: Int): Double = math.pow(1.0 + epsilon, j)
-
     def threshold: Double = {
-      // TH: min φ/2k over unfilled candidates; +∞ when every candidate is
+      // TH: min τ_j over unfilled candidates; +∞ when every candidate is
       // full (no further element can be admitted anywhere).
-      val open = candidates.iterator.filter(_._2.size < k)
       if (candidates.isEmpty) 0.0
-      else open.map { case (j, _) => phi(j) / (2.0 * k) }.minOption.getOrElse(Double.PositiveInfinity)
+      else {
+        var th = Double.PositiveInfinity
+        var i = 0
+        while (i < candidates.length) {
+          val c = candidates(i)
+          if (c.state.size < k && c.tau < th) th = c.tau
+          i += 1
+        }
+        th
+      }
     }
 
     var ub = cursor.upperBound
@@ -42,26 +50,35 @@ object MTTS {
         val deltaE = engine.deltaScore(ae, q)
         if (deltaE > deltaMax) {
           deltaMax = deltaE
-          // Maintain Φ = { (1+ε)^j : δmax ≤ (1+ε)^j ≤ 2·k·δmax }.
-          val jLo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
-          val jHi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
-          candidates.keys.filter(j => j < jLo || j > jHi).toSeq.foreach(candidates.remove)
-          (jLo to jHi).foreach { j =>
-            if (!candidates.contains(j)) candidates(j) = new CandidateState(engine, q)
+          // Maintain Φ = { (1+ε)^j : δmax ≤ (1+ε)^j ≤ 2·k·δmax }, keeping
+          // the candidates already open inside the new range.
+          val lo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
+          val hi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
+          val next = new Array[Candidate](math.max(0, hi - lo + 1))
+          var j = lo
+          while (j <= hi) {
+            val old = j - jLo
+            next(j - lo) =
+              if (old >= 0 && old < candidates.length) candidates(old)
+              else new Candidate(math.pow(1.0 + epsilon, j) / (2.0 * k), new CandidateState(engine, q))
+            j += 1
           }
+          candidates = next
+          jLo = lo
         }
-        candidates.foreach { case (j, s) =>
-          val tau = phi(j) / (2.0 * k)
-          if (deltaE >= tau && s.size < k && s.gain(ae) >= tau) s.add(ae)
+        var i = 0
+        while (i < candidates.length) {
+          val c = candidates(i)
+          if (deltaE >= c.tau && c.state.size < k && c.state.gain(ae) >= c.tau) c.state.add(ae)
+          i += 1
         }
       }
       th = threshold
       ub = cursor.upperBound
     }
 
-    val best = candidates.valuesIterator.maxByOption(_.score)
-    best match {
-      case Some(c) => KSirResult(c.members, c.score, evaluated, cursor.retrievedCount)
+    candidates.maxByOption(_.state.score) match {
+      case Some(c) => KSirResult(c.state.members, c.state.score, evaluated, cursor.retrievedCount)
       case None    => KSirResult(Seq.empty, 0.0, evaluated, cursor.retrievedCount)
     }
   }

@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 /** Incremental state of a candidate set S for a fixed query vector x, giving
   * O(l·d) marginal-gain evaluation Δ(e|S) and O(l·d) insertion — the costs
-  * the paper's complexity analyses assume.
+  * the paper's complexity analyses assume. A gain allocates nothing.
   *
   * Per query topic i it tracks:
   *  - the best covered weight `max_{e∈S} σ_i(w,e)` per word (Equation 3);
@@ -17,13 +17,14 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
   private val lambda = engine.lambda
   private val etaInv = (1.0 - engine.lambda) / engine.eta
 
+  private val qTopic: Array[Int] = q.entries.map(_._1)
+  private val qX: Array[Double] = q.entries.map(_._2)
+
   // One map per non-zero query entry, keyed by word id.
-  private val covered: Array[mutable.LongMap[Double]] =
-    Array.fill(q.entries.length)(mutable.LongMap.empty[Double])
+  private val covered: Array[LongDoubleMap] = Array.fill(qTopic.length)(new LongDoubleMap)
 
   // One map per non-zero query entry, keyed by influenced child id.
-  private val prodComp: Array[mutable.LongMap[Double]] =
-    Array.fill(q.entries.length)(mutable.LongMap.empty[Double])
+  private val prodComp: Array[LongDoubleMap] = Array.fill(qTopic.length)(new LongDoubleMap)
 
   private val memberIds = mutable.ArrayBuffer.empty[Long]
   private var fScore = 0.0
@@ -34,80 +35,125 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
   def contains(id: Long): Boolean = memberIds.contains(id)
 
   /** Δ(e|S) = f(S ∪ {e}, x) − f(S, x). Does not mutate state. */
-  def gain(ae: ActiveElement): Double = {
-    var total = 0.0
-    var qi = 0
-    while (qi < q.entries.length) {
-      val (topic, xi) = q.entries(qi)
-      val pe = ae.elem.pTopic(topic)
-      if (pe > 0.0) {
-        var dR = 0.0
-        val sig = ae.sigmaFor(topic)
-        var j = 0
-        while (j < sig.length) {
-          val (w, s) = sig(j)
-          val c = covered(qi).getOrElse(w.toLong, 0.0)
-          if (s > c) dR += s - c
-          j += 1
-        }
-        var dI = 0.0
-        ae.children.foreach { c =>
-          val pc = pOf(c.childTopics, topic)
-          if (pc > 0.0) {
-            val prod = prodComp(qi).getOrElse(c.childId, 1.0)
-            dI += prod * pe * pc
-          }
-        }
-        total += xi * (lambda * dR + etaInv * dI)
-      }
-      qi += 1
-    }
-    total
-  }
+  def gain(ae: ActiveElement): Double = marginal(ae, commit = false)
 
   /** Add e to S, updating coverage state and the cached f(S, x).
     * Idempotent: S is a set, so re-adding a member is a no-op.
     */
   def add(ae: ActiveElement): Unit = {
     if (memberIds.contains(ae.elem.id)) return
-    var total = 0.0
-    var qi = 0
-    while (qi < q.entries.length) {
-      val (topic, xi) = q.entries(qi)
-      val pe = ae.elem.pTopic(topic)
-      if (pe > 0.0) {
-        var dR = 0.0
-        val sig = ae.sigmaFor(topic)
-        var j = 0
-        while (j < sig.length) {
-          val (w, s) = sig(j)
-          val c = covered(qi).getOrElse(w.toLong, 0.0)
-          if (s > c) { dR += s - c; covered(qi)(w.toLong) = s }
-          j += 1
-        }
-        var dI = 0.0
-        ae.children.foreach { c =>
-          val pc = pOf(c.childTopics, topic)
-          if (pc > 0.0) {
-            val p = pe * pc
-            val prod = prodComp(qi).getOrElse(c.childId, 1.0)
-            dI += prod * p
-            prodComp(qi)(c.childId) = prod * (1.0 - p)
-          }
-        }
-        total += xi * (lambda * dR + etaInv * dI)
-      }
-      qi += 1
-    }
-    fScore += total
+    fScore += marginal(ae, commit = true)
     memberIds += ae.elem.id
   }
 
-  private def pOf(topics: Array[(Int, Double)], topic: Int): Double = {
-    var j = 0
-    while (j < topics.length) { if (topics(j)._1 == topic) return topics(j)._2; j += 1 }
-    0.0
+  /** Δ(e|S); with `commit`, also records e's coverage in the state. */
+  private def marginal(ae: ActiveElement, commit: Boolean): Double = {
+    val words = ae.wordIds
+    val childP = ae.childP
+    val stride = ae.topicIds.length
+    val children = ae.children
+    var total = 0.0
+    var qi = 0
+    while (qi < qTopic.length) {
+      val j = ae.topicIndex(qTopic(qi))
+      if (j >= 0 && ae.topicP(j) > 0.0) {
+        val pe = ae.topicP(j)
+        val cov = covered(qi)
+        val sig = ae.sigma(j)
+        var dR = 0.0
+        var w = 0
+        while (w < sig.length) {
+          val s = sig(w)
+          val c = cov.getOrElse(words(w), 0.0)
+          if (s > c) {
+            dR += s - c
+            if (commit) cov(words(w)) = s
+          }
+          w += 1
+        }
+        val prods = prodComp(qi)
+        var dI = 0.0
+        var c = 0
+        while (c < children.length) {
+          val pc = childP(c * stride + j)
+          if (pc > 0.0) {
+            val id = children(c).childId
+            val prod = prods.getOrElse(id, 1.0)
+            if (commit) {
+              val p = pe * pc
+              dI += prod * p
+              prods(id) = prod * (1.0 - p)
+            } else dI += prod * pe * pc
+          }
+          c += 1
+        }
+        total += qX(qi) * (lambda * dR + etaInv * dI)
+      }
+      qi += 1
+    }
+    total
   }
+}
+
+/** Hash map from Long keys to Double values by open addressing with linear
+  * probing over primitive arrays, so neither lookups nor updates box. Every
+  * Long is a valid key: occupancy is kept in its own array, not in a sentinel.
+  */
+private[core] final class LongDoubleMap {
+  private var keys = LongDoubleMap.NoKeys
+  private var vals = LongDoubleMap.NoVals
+  private var used = LongDoubleMap.NoUsed
+  private var shift = 64
+  private var n = 0
+
+  def size: Int = n
+
+  def getOrElse(key: Long, default: Double): Double = {
+    if (n == 0) return default
+    var i = slot(key)
+    while (used(i)) {
+      if (keys(i) == key) return vals(i)
+      i = (i + 1) & (keys.length - 1)
+    }
+    default
+  }
+
+  def update(key: Long, value: Double): Unit = {
+    if (keys.length == 0) resize(8)
+    var i = slot(key)
+    while (used(i)) {
+      if (keys(i) == key) { vals(i) = value; return }
+      i = (i + 1) & (keys.length - 1)
+    }
+    used(i) = true; keys(i) = key; vals(i) = value
+    n += 1
+    if (2 * n > keys.length) resize(2 * keys.length)
+  }
+
+  /** Fibonacci hashing: the top bits of key·2⁶⁴/φ, which mix every key bit. */
+  private def slot(key: Long): Int = ((key * 0x9e3779b97f4a7c15L) >>> shift).toInt
+
+  private def resize(capacity: Int): Unit = {
+    val oldKeys = keys
+    val oldVals = vals
+    val oldUsed = used
+    keys = new Array[Long](capacity)
+    vals = new Array[Double](capacity)
+    used = new Array[Boolean](capacity)
+    shift = 64 - Integer.numberOfTrailingZeros(capacity)
+    n = 0
+    var i = 0
+    while (i < oldKeys.length) {
+      if (oldUsed(i)) update(oldKeys(i), oldVals(i))
+      i += 1
+    }
+  }
+}
+
+private object LongDoubleMap {
+  private val NoKeys = new Array[Long](0)
+  private val NoVals = new Array[Double](0)
+  private val NoUsed = new Array[Boolean](0)
 }
 
 /** Result of one k-SIR query execution, with the instrumentation the paper's

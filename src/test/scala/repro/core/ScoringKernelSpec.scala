@@ -1,0 +1,163 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.data.{SocialStreamGen, StreamConfig}
+import scala.collection.mutable
+
+/** The scoring kernel (CandidateState over ActiveElement's flat arrays)
+  * against Equations 2–4 evaluated from scratch from the elements, the topic
+  * model and the window's child sets; and a guard that a marginal gain
+  * allocates nothing.
+  */
+class ScoringKernelSpec extends AnyFunSuite {
+
+  private val Window = 300L
+  private val Lambda = 0.5
+  private val Eta = 5.0
+
+  /** f(S, x) by Equations 2–4, with the children of e taken as the elements of
+    * `ingested` inside the window [windowStart, now] that refer to e.
+    */
+  private def reference(model: TopicModel, ingested: Seq[Element], windowStart: Long,
+                        s: Seq[Element], q: QueryVector): Double = {
+    val inWindow = ingested.filter(_.ts >= windowStart)
+    q.entries.map { case (i, xi) =>
+      val best = mutable.Map.empty[Int, Double]
+      s.foreach { e =>
+        val pe = e.pTopic(i)
+        if (pe > 0.0) e.wordFreqs.foreach { case (w, freq) =>
+          val p = model.pWord(i, w) * pe
+          val sigma = if (p > 0.0) -freq * p * math.log(p) else 0.0
+          best(w) = math.max(best.getOrElse(w, 0.0), sigma)
+        }
+      }
+      val r = best.values.sum
+      val inf = inWindow.map { c =>
+        val notReached = s.filter(e => c.refs.contains(e.id)).map(e => 1.0 - e.pTopic(i) * c.pTopic(i)).product
+        1.0 - notReached
+      }.sum
+      xi * (Lambda * r + (1.0 - Lambda) / Eta * inf)
+    }.sum
+  }
+
+  /** Random query on 1–3 topics drawn from the supports of `elems`, plus
+    * every topic of `focus`.
+    */
+  private def randomQuery(rnd: scala.util.Random, elems: Seq[ActiveElement], focus: Option[ActiveElement]): QueryVector = {
+    val drawn = Seq.fill(1 + rnd.nextInt(3))(elems(rnd.nextInt(elems.size)).elem.topics.head._1)
+    val topics = (focus.toSeq.flatMap(_.elem.topics.map(_._1)) ++ drawn).distinct
+    val w = topics.map(_ => 0.1 + rnd.nextDouble())
+    QueryVector(topics.zip(w.map(_ / w.sum)): _*)
+  }
+
+  /** Random add sequences over `pool`, checking gain, score and re-adds
+    * against the reference; returns how many adds had an influence term.
+    * A `focus` element is in every sequence and its topics in every query.
+    */
+  private def checkSequences(eng: KSirEngine, ingested: Seq[Element], pool: Seq[ActiveElement],
+                             rnd: scala.util.Random, what: String, focus: Option[ActiveElement] = None): Int = {
+    val ws = eng.now - Window + 1
+    var withInfluence = 0
+    (0 until 4).foreach { _ =>
+      val q = randomQuery(rnd, pool, focus)
+      val cs = new CandidateState(eng, q)
+      var s = Vector.empty[Element]
+      var fs = 0.0
+      rnd.shuffle(focus.toSeq ++ rnd.shuffle(pool.filterNot(focus.contains)).take(8 - focus.size)).foreach { ae =>
+        val fse = reference(eng.model, ingested, ws, s :+ ae.elem, q)
+        assert(math.abs(cs.gain(ae) - (fse - fs)) < 1e-9, s"$what: gain of e${ae.elem.id} into ${s.map(_.id)}")
+        cs.add(ae)
+        s :+= ae.elem
+        fs = fse
+        assert(math.abs(cs.score - fs) < 1e-9, s"$what: f(${s.map(_.id)})")
+        if (ae.children.nonEmpty && q.entries.exists(x => ae.influence(x._1) > 0.0)) withInfluence += 1
+        val (size, score) = (cs.size, cs.score)
+        cs.add(ae)
+        assert(cs.size == size && cs.score == score, s"$what: re-adding e${ae.elem.id}")
+      }
+    }
+    withInfluence
+  }
+
+  test("gain and score match Equations 2-4 from scratch, also after a middle child expires") {
+    Seq(21L, 22L).foreach { seed =>
+      // References reach back 4T, so discarded elements are resurrected.
+      val g = SocialStreamGen.generate(StreamConfig.aminer(400, 1200, seed).copy(refLookback = 1200))
+      val eng = new KSirEngine(g.model, Window, Lambda, Eta)
+      val rnd = new scala.util.Random(seed)
+      var ingested = Vector.empty[Element]
+      var dropped = Set.empty[Long]
+      var resurrected = 0
+      var withInfluence = 0
+      Bucket.bucketize(g.elements, 50, 1200).zipWithIndex.foreach { case (b, bi) =>
+        eng.advance(b)
+        ingested ++= b.elements
+        val active = eng.activeElements.map(_.elem.id).toSet
+        resurrected += (active & dropped).size
+        dropped = ingested.map(_.id).toSet -- active
+        if (bi % 4 == 3) {
+          val pool = eng.activeElements.toSeq.sortBy(_.elem.id)
+          val parents = pool.filter(_.children.length >= 2)
+          withInfluence += checkSequences(eng, ingested, parents ++ rnd.shuffle(pool).take(10), rnd, s"seed $seed t=${b.endTs}")
+        }
+      }
+      assert(resurrected > 0, s"seed $seed: no resurrection")
+      assert(withInfluence > 0, s"seed $seed: no add carried an influence term")
+
+      // A parent whose oldest children outlive a late child inserted between
+      // them and a new one: the next advance expires the middle child only.
+      val ws = eng.now - Window + 1
+      val parent = eng.activeElements.toSeq.sortBy(_.elem.id)
+        .find(ae => ae.children.nonEmpty && ae.children.forall(_.childTs >= ws + 2))
+        .getOrElse(fail(s"seed $seed: no parent with young children"))
+      // Two children on the parent's topics with different distributions, so
+      // the late child's p_i(c) cannot stand in for the young one's.
+      val donors = ingested.filter(_.topics.exists(t => parent.elem.pTopic(t._1) > 0.0))
+      val donor2 = donors.find(e => !e.topics.sameElements(donors.head.topics)).get
+      val nextId = ingested.map(_.id).max + 1
+      val late = donors.head.copy(id = nextId, ts = ws + 1, refs = Array(parent.elem.id))
+      val young = donor2.copy(id = nextId + 1, ts = eng.now + 1, refs = Array(parent.elem.id))
+      eng.advance(Bucket(eng.now + 1, Seq(young, late)))
+      ingested ++= Seq(late, young)
+      val before = parent.children.map(_.childId).toSeq
+      assert(before.takeRight(2) == Seq(late.id, young.id) && before.length >= 3)
+      def pool = eng.activeElements.toSeq.sortBy(_.elem.id)
+      checkSequences(eng, ingested, pool, rnd, s"seed $seed with the late child", Some(parent))
+      eng.advance(Bucket(eng.now + 1, Seq.empty))
+      assert(parent.children.map(_.childId).toSeq == before.filterNot(_ == late.id), "only the middle child expired")
+      checkSequences(eng, ingested, pool, rnd, s"seed $seed after the middle child expired", Some(parent))
+    }
+  }
+
+  test("a marginal gain allocates nothing once warmed up") {
+    val g = SocialStreamGen.generate(StreamConfig.aminer(1500, 3600, 31L))
+    val eng = new KSirEngine(g.model, 1800L, Lambda, Eta)
+    Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
+    val parents = eng.activeElements.filter(_.children.length >= 2).toSeq.sortBy(_.elem.id)
+    val topics = parents.map(_.elem.topics.head._1).distinct
+    val q = QueryVector(topics(0) -> 0.6, topics(1) -> 0.4)
+    val onQuery = eng.activeElements.filter(ae => q.entries.exists(x => ae.elem.pTopic(x._1) > 0.0)).toArray.sortBy(_.elem.id)
+    val k = 10
+    val cs = new CandidateState(eng, q)
+    onQuery.take(k).foreach(cs.add)
+    assert(cs.size == k)
+    val probes = onQuery.drop(k)
+    assert(probes.count(_.children.nonEmpty) >= 10, "probes exercise the influence loop")
+    val calls = 10000
+    def run(): Double = {
+      var sum = 0.0
+      var i = 0
+      while (i < calls) { sum += cs.gain(probes(i % probes.length)); i += 1 }
+      sum
+    }
+    (0 until 5).foreach(_ => run())
+    val bean = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val tid = Thread.currentThread().getId
+    val a0 = bean.getThreadAllocatedBytes(tid)
+    val sum = run()
+    val a1 = bean.getThreadAllocatedBytes(tid)
+    assert(sum > 0.0)
+    val perCall = (a1 - a0).toDouble / calls
+    assert(perCall < 8.0, s"gain allocated $perCall bytes per call")
+  }
+}
