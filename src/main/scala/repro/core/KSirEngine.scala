@@ -66,6 +66,11 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
     s
   }
 
+  /** δ_i(e) per supported topic as last written to the ranked lists, so an
+    * entry can be found and removed when the score changes.
+    */
+  private[core] val listedDelta: Array[Double] = new Array[Double](topicIds.length)
+
   /** Σ_{c ∈ children} p_i(c) per supported topic; I_{i,t}(e) = p_i(e)·sum. */
   private val childPSum: Array[Double] = new Array[Double](topicIds.length)
 
@@ -192,16 +197,8 @@ final class KSirEngine(
     */
   private val archive = mutable.LongMap.empty[Element]
 
-  /** Ranked list per topic: (score, id) ordered descending by score (ties by
-    * id, descending, so ordering is total and deterministic).
-    */
-  private val lists: Array[mutable.TreeSet[(Double, Long)]] =
-    Array.fill(model.z)(mutable.TreeSet.empty[(Double, Long)](KSirEngine.ListOrder))
-
-  /** Current scores of each element in each list it appears in, so stale
-    * tuples can be located and removed on adjustment.
-    */
-  private val listed = mutable.LongMap.empty[Array[Double]]
+  /** Ranked list RL_i per topic i. */
+  private val lists: Array[RankedList] = Array.fill(model.z)(new RankedList)
 
   /** One (ts, id) event per inserted element and per resolved reference to a
     * parent; an id is checked for expiry when one of its events leaves the
@@ -221,6 +218,9 @@ final class KSirEngine(
 
   def activeElement(id: Long): Option[ActiveElement] = active.get(id)
 
+  /** The active element with this id, or null; allocates nothing. */
+  private[core] def activeOrNull(id: Long): ActiveElement = active.getOrNull(id)
+
   /** Total references received inside the window by any active element —
     * used by the influence-aware baselines and the Table 6 metric.
     */
@@ -231,6 +231,18 @@ final class KSirEngine(
     */
   def advance(bucket: Bucket): Unit = {
     require(bucket.endTs > nowTs, s"buckets must advance time: ${bucket.endTs} <= $nowTs")
+    // Element ids are unique over the stream, checked before any state
+    // changes: a second element under an id would replace the first in A_t
+    // and leave the first's list entries behind.
+    val ids = new Array[Long](bucket.elements.length)
+    var n = 0
+    bucket.elements.foreach { e => ids(n) = e.id; n += 1 }
+    java.util.Arrays.sort(ids)
+    var i = 0
+    while (i < n) {
+      require(!archive.contains(ids(i)) && (i == 0 || ids(i) != ids(i - 1)), s"duplicate element id ${ids(i)}")
+      i += 1
+    }
     nowTs = bucket.endTs
     val windowStart = nowTs - window + 1
 
@@ -284,26 +296,25 @@ final class KSirEngine(
   }
 
   private def insertIntoLists(ae: ActiveElement): Unit = {
-    val scores = new Array[Double](ae.topicIds.length)
+    val scores = ae.listedDelta
     var j = 0
     while (j < scores.length) {
       val s = ae.deltaAt(j)
       scores(j) = s
-      lists(ae.topicIds(j)).add((s, ae.elem.id))
+      lists(ae.topicIds(j)).add(s, ae.elem.id)
       j += 1
     }
-    listed(ae.elem.id) = scores
   }
 
   private def refreshLists(ae: ActiveElement): Unit = {
-    val scores = listed(ae.elem.id)
+    val scores = ae.listedDelta
     var j = 0
     while (j < scores.length) {
-      val topic = ae.topicIds(j)
+      val list = lists(ae.topicIds(j))
       val s = ae.deltaAt(j)
       if (s != scores(j)) {
-        lists(topic).remove((scores(j), ae.elem.id))
-        lists(topic).add((s, ae.elem.id))
+        list.remove(scores(j), ae.elem.id)
+        list.add(s, ae.elem.id)
         scores(j) = s
       }
       j += 1
@@ -311,16 +322,17 @@ final class KSirEngine(
   }
 
   private def removeFromLists(ae: ActiveElement): Unit = {
-    val scores = listed(ae.elem.id)
+    val scores = ae.listedDelta
     var j = 0
     while (j < scores.length) {
-      lists(ae.topicIds(j)).remove((scores(j), ae.elem.id))
+      lists(ae.topicIds(j)).remove(scores(j), ae.elem.id)
       j += 1
     }
-    listed.remove(ae.elem.id)
   }
 
-  /** Sorted (score desc) snapshot iterator over RL_i. */
+  private[core] def list(topic: Int): RankedList = lists(topic)
+
+  /** Sorted (score desc) iterator over RL_i; not valid across an `advance`. */
   def rankedList(topic: Int): Iterator[(Double, Long)] = lists(topic).iterator
 
   /** Size of RL_i. */
@@ -347,17 +359,6 @@ final class KSirEngine(
 }
 
 object KSirEngine {
-
-  /** Ranked-list order: score descending, then id descending. The same total
-    * order as `Ordering.Tuple2(Ordering[Double].reverse, Ordering[Long].reverse)`
-    * (including −0.0 and NaN) without boxing either field on each compare.
-    */
-  private object ListOrder extends Ordering[(Double, Long)] {
-    def compare(a: (Double, Long), b: (Double, Long)): Int = {
-      val c = java.lang.Double.compare(b._1, a._1)
-      if (c != 0) c else java.lang.Long.compare(b._2, a._2)
-    }
-  }
 
   /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.
     * A heap rather than a FIFO, so expiry stays exact when a bucket carries

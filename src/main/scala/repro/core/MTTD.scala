@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** MULTI-TOPIC THRESHOLDDESCEND (Algorithm 3): a single candidate built over
   * rounds of geometrically descending threshold τ. Elements are retrieved
   * from the ranked lists once their upper bound reaches τ and parked in a
@@ -18,9 +16,8 @@ object MTTD {
 
     val cursor = new RankedListCursor(engine, q)
     val s = new CandidateState(engine, q)
-    // Buffer E': (cached Δ_e upper bound, id); lazily refreshed on pop.
-    val buffer = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
-    val evaluatedIds = mutable.HashSet.empty[Long]
+    // Buffer E': cached Δ_e upper bounds; lazily refreshed on pop.
+    val buffer = new GainHeap
 
     var tau = cursor.upperBound
     var tauTerm = 0.0
@@ -29,43 +26,91 @@ object MTTD {
     def retrieve(t: Double): Unit = {
       while (!cursor.exhausted && cursor.upperBound >= t) {
         val ae = cursor.popMax()
-        if (ae != null) {
-          val d = engine.deltaScore(ae, q)
-          evaluatedIds.add(ae.elem.id)
-          buffer.enqueue((d, ae.elem.id))
-        }
+        buffer.enqueue(engine.deltaScore(ae, q), ae)
       }
     }
 
-    def result: KSirResult = KSirResult(s.members, s.score, evaluatedIds.size, cursor.retrievedCount)
+    // Every buffered element was retrieved once, so the distinct elements
+    // evaluated are exactly the retrieved ones.
+    def result: KSirResult = KSirResult(s.members, s.score, cursor.retrievedCount, cursor.retrievedCount)
 
     if (tau <= 0.0) return result
 
     while (tau >= tauTerm) {
       retrieve(tau)
       // Lazy-greedy pass: admit while some buffered gain may reach τ.
-      var go = buffer.nonEmpty && buffer.head._1 >= tau
-      while (go) {
-        val (_, id) = buffer.dequeue()
-        engine.activeElement(id) match {
-          case Some(ae) =>
-            val g = s.gain(ae)
-            evaluatedIds.add(id)
-            if (g >= tau) {
-              s.add(ae)
-              if (s.size == k) return result
-            } else if (g > 0.0) {
-              buffer.enqueue((g, id))
-            }
-          case None => // expired between retrieval and evaluation: drop
+      while (buffer.nonEmpty && buffer.headGain >= tau) {
+        val ae = buffer.dequeue()
+        val g = s.gain(ae)
+        if (g >= tau) {
+          s.add(ae)
+          if (s.size == k) return result
+        } else if (g > 0.0) {
+          buffer.enqueue(g, ae)
         }
-        go = buffer.nonEmpty && buffer.head._1 >= tau
       }
       tauTerm = s.score * epsilon / k
       tau = (1.0 - epsilon) * tau
       // Nothing left that could ever be admitted at any remaining threshold.
-      if (cursor.exhausted && (buffer.isEmpty || buffer.head._1 <= tauTerm)) return result
+      if (cursor.exhausted && (buffer.isEmpty || buffer.headGain <= tauTerm)) return result
     }
     result
+  }
+
+  /** Max-heap of (gain, element) on two arrays, 1-based. Its sift rules are
+    * those of `mutable.PriorityQueue` ordered by gain under
+    * `java.lang.Double.compare` (`fixUp`: move up while the parent is less;
+    * `fixDown`: take the greater child, the right one only if the left is
+    * less, and stop once not less than it), so equal gains dequeue in the
+    * same order as they would from that queue.
+    */
+  private[core] final class GainHeap {
+    private var gains = new Array[Double](16)
+    private var elems = new Array[ActiveElement](16)
+    private var n = 0
+
+    def nonEmpty: Boolean = n > 0
+
+    def isEmpty: Boolean = n == 0
+
+    def headGain: Double = gains(1)
+
+    def enqueue(g: Double, ae: ActiveElement): Unit = {
+      n += 1
+      if (n == gains.length) {
+        gains = java.util.Arrays.copyOf(gains, 2 * n)
+        elems = java.util.Arrays.copyOf(elems, 2 * n)
+      }
+      var k = n
+      while (k > 1 && java.lang.Double.compare(gains(k / 2), g) < 0) {
+        gains(k) = gains(k / 2); elems(k) = elems(k / 2)
+        k /= 2
+      }
+      gains(k) = g; elems(k) = ae
+    }
+
+    /** Removes the entry with the greatest gain and returns its element. */
+    def dequeue(): ActiveElement = {
+      val top = elems(1)
+      val g = gains(n)
+      val ae = elems(n)
+      elems(n) = null
+      n -= 1
+      if (n > 0) {
+        var k = 1
+        var done = false
+        while (!done && 2 * k <= n) {
+          var j = 2 * k
+          if (j < n && java.lang.Double.compare(gains(j), gains(j + 1)) < 0) j += 1
+          if (java.lang.Double.compare(g, gains(j)) >= 0) done = true
+          else {
+            gains(k) = gains(j); elems(k) = elems(j)
+            k = j
+          }
+        }
+        gains(k) = g; elems(k) = ae
+      }
+      top
+    }
   }
 }

@@ -108,6 +108,16 @@ private[core] final class LongDoubleMap {
 
   def size: Int = n
 
+  def contains(key: Long): Boolean = {
+    if (n == 0) return false
+    var i = slot(key)
+    while (used(i)) {
+      if (keys(i) == key) return true
+      i = (i + 1) & (keys.length - 1)
+    }
+    false
+  }
+
   def getOrElse(key: Long, default: Double): Double = {
     if (n == 0) return default
     var i = slot(key)
@@ -166,40 +176,61 @@ final case class KSirResult(elements: Seq[Long], score: Double, evaluated: Int, 
 /** Traversal state over the ranked lists RL_i for the topics with x_i > 0:
   * the `RL_i.first` / `RL_i.next` operations of §4.1, including the
   * cross-list "visited" marking so each element is retrieved at most once.
+  * Each list is walked by (chunk, slot); only a list's head is looked up in
+  * A_t. The lists must not change while it is in use.
   */
 final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
 
-  private val visited = mutable.HashSet.empty[Long]
-  private val iters: Array[Iterator[(Double, Long)]] =
-    q.entries.map { case (i, _) => engine.rankedList(i) }
-  // Current head of each list: (δ_i(e), id), or null when exhausted.
-  private val heads: Array[(Double, Long)] = new Array[(Double, Long)](q.entries.length)
+  private val d = q.entries.length
+  private val x: Array[Double] = q.entries.map(_._2)
+  private val lists: Array[RankedList] = q.entries.map(e => engine.list(e._1))
+  private val chunkAt = new Array[Int](d)
+  // Slot of each list's head in its chunk; -1 before the first entry.
+  private val slotAt = Array.fill(d)(-1)
+  // Current head of each list: δ_i(e) and e, or null when exhausted.
+  private val headScore = new Array[Double](d)
+  private val head = new Array[ActiveElement](d)
+  // An element sits once in each list, so one list needs no visited set.
+  private val visited: LongDoubleMap = if (d > 1) new LongDoubleMap else null
   var retrievedCount: Int = 0
 
-  q.entries.indices.foreach(advanceList)
+  (0 until d).foreach(advanceList)
 
   private def advanceList(j: Int): Unit = {
-    var next: (Double, Long) = null
-    val it = iters(j)
-    while (next == null && it.hasNext) {
-      val cand = it.next()
-      if (!visited.contains(cand._2)) next = cand
+    val list = lists(j)
+    var c = chunkAt(j)
+    var p = slotAt(j)
+    var next: ActiveElement = null
+    while (next == null && c < list.chunkCount) {
+      val ch = list.chunk(c)
+      p += 1
+      if (p == ch.n) { c += 1; p = -1 }
+      else if (visited == null || !visited.contains(ch.ids(p))) {
+        next = engine.activeOrNull(ch.ids(p))
+        headScore(j) = ch.scores(p)
+      }
     }
-    heads(j) = next
+    chunkAt(j) = c
+    slotAt(j) = p
+    head(j) = next
   }
 
   /** Upper bound UB(x) = Σ_i x_i·δ_i(e^(i)) on any unretrieved element. */
   def upperBound: Double = {
     var ub = 0.0
     var j = 0
-    while (j < heads.length) {
-      if (heads(j) != null) ub += q.entries(j)._2 * heads(j)._1
+    while (j < d) {
+      if (head(j) != null) ub += x(j) * headScore(j)
       j += 1
     }
     ub
   }
 
-  def exhausted: Boolean = heads.forall(_ == null)
+  def exhausted: Boolean = {
+    var j = 0
+    while (j < d) { if (head(j) != null) return false; j += 1 }
+    true
+  }
 
   /** Pop the element with the maximum x_i·δ_i(e^(i)) across lists, marking it
     * visited in every list. Returns null when all lists are exhausted.
@@ -208,23 +239,23 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
     var best = -1
     var bestVal = -1.0
     var j = 0
-    while (j < heads.length) {
-      if (heads(j) != null) {
-        val v = q.entries(j)._2 * heads(j)._1
+    while (j < d) {
+      if (head(j) != null) {
+        val v = x(j) * headScore(j)
         if (v > bestVal) { bestVal = v; best = j }
       }
       j += 1
     }
     if (best < 0) return null
-    val id = heads(best)._2
-    visited.add(id)
+    val ae = head(best)
+    if (visited != null) visited(ae.elem.id) = 0.0
     retrievedCount += 1
     // The popped element may also be the head of other lists: skip it there.
     var i = 0
-    while (i < heads.length) {
-      if (heads(i) != null && heads(i)._2 == id) advanceList(i)
+    while (i < d) {
+      if (head(i) eq ae) advanceList(i)
       i += 1
     }
-    engine.activeElement(id).orNull
+    ae
   }
 }

@@ -158,6 +158,28 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(eng.rankedListSize(1) == 0)
   }
 
+  test("a repeated element id is rejected and leaves the engine unchanged") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)), el(2, 1, Seq(2), Seq(1 -> 1.0)))))
+    eng.advance(Bucket(3, Seq.empty)) // window [0,3]
+    def state = (eng.now, eng.activeElements.map(_.elem.id).toSet, eng.rankedList(0).toSeq, eng.rankedList(1).toSeq)
+    val before = state
+    // An id seen in an earlier bucket, once active and once already expired.
+    val again = el(1, 4, Seq(1), Seq(0 -> 0.5, 1 -> 0.5))
+    intercept[IllegalArgumentException](eng.advance(Bucket(4, Seq(el(3, 4, Seq(0), Seq(0 -> 1.0)), again))))
+    assert(state == before)
+    // The same id twice in one bucket.
+    intercept[IllegalArgumentException](eng.advance(Bucket(4, Seq(el(3, 4, Seq(0), Seq(0 -> 1.0)), el(3, 4, Seq(2), Seq(1 -> 1.0))))))
+    assert(state == before)
+    eng.advance(Bucket(6, Seq.empty)) // window [3,6]: e1 and e2 leave
+    assert(eng.activeCount == 0)
+    intercept[IllegalArgumentException](eng.advance(Bucket(7, Seq(again.copy(ts = 7)))))
+    // Fresh ids are still taken, and a reference still resurrects e1.
+    eng.advance(Bucket(7, Seq(el(3, 7, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    assert(eng.rankedList(0).map(_._2).toSet == Set(1L, 3L))
+    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L))
+  }
+
   test("a bucket older than the previous bucket still expires on time") {
     val eng = mk()
     eng.advance(Bucket(5, Seq(el(1, 5, Seq(0), Seq(0 -> 1.0)))))

@@ -83,4 +83,26 @@ class MTTDSpec extends AnyFunSuite {
     e.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, Array((0, 1.0))))))
     assert(MTTD.query(e, QueryVector(1 -> 1.0), 2, 0.1).elements.isEmpty)
   }
+
+  test("the buffer dequeues equal gains in mutable.PriorityQueue's order") {
+    val elems = eng.activeElements.toArray
+    val rnd = new scala.util.Random(3)
+    val gains = Array(0.0, -0.0, 0.1, 0.2, 0.2, 0.3)
+    (0 until 50).foreach { round =>
+      val heap = new MTTD.GainHeap
+      val want = scala.collection.mutable.PriorityQueue.empty[(Double, ActiveElement)](Ordering.by(_._1))
+      (0 until 200).foreach { step =>
+        if (want.nonEmpty && rnd.nextInt(3) == 0) {
+          assert(heap.headGain == want.head._1, s"round $round step $step")
+          assert(heap.dequeue() eq want.dequeue()._2, s"round $round step $step")
+        } else {
+          val e = (gains(rnd.nextInt(gains.length)), elems(rnd.nextInt(elems.length)))
+          heap.enqueue(e._1, e._2)
+          want.enqueue(e)
+        }
+      }
+      while (want.nonEmpty) assert(heap.dequeue() eq want.dequeue()._2, s"round $round drain")
+      assert(heap.isEmpty)
+    }
+  }
 }

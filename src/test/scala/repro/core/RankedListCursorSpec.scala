@@ -94,4 +94,24 @@ class RankedListCursorSpec extends AnyFunSuite {
       assert(seen == expected, s"seed=$seed")
     }
   }
+
+  test("an element retrieved through a list whose next entries tie with it is not retrieved again") {
+    // Topic 0 ranks e9, e8, e7 on one δ_0 (ties by id); topic 1 ranks e8,
+    // e9, e7. After e9 and then e8 leave topic 0, topic 1 reaches e9 while
+    // topic 0's head e7 ties e9's δ_0.
+    val model = new TopicModel(2, 4, Array(Array(0.5, 0.5, 0, 0), Array(0, 0, 0.5, 0.5)))
+    val e = new KSirEngine(model, 10, 0.5, 2.0)
+    val half = Array((0, 0.5), (1, 0.5))
+    e.advance(Bucket(1, Seq(
+      Element(9, 1, Array(0, 0, 0, 2), Array.empty, half),
+      Element(8, 1, Array(0, 0, 0, 2, 3), Array.empty, half),
+      Element(7, 1, Array(0, 0, 0), Array.empty, half),
+    )))
+    assert(e.rankedList(0).toSeq.map(_._1).distinct.size == 1)
+    assert(e.rankedList(1).map(_._2).toSeq == Seq(8L, 9L, 7L))
+    val cursor = new RankedListCursor(e, QueryVector(0 -> 0.5, 1 -> 0.5))
+    val seen = Iterator.continually(cursor.popMax()).takeWhile(_ != null).map(_.elem.id).toSeq
+    assert(seen == Seq(9L, 8L, 7L))
+  }
 }
+
