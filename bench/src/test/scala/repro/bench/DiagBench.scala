@@ -13,8 +13,8 @@ class DiagBench extends AnyFunSuite {
   test("score scales and metric ceilings per dataset") {
     BenchData.all.foreach { ds =>
       val eng = ds.engineAt(BenchData.WindowT)
-      val rs = eng.activeElements.flatMap(ae => ae.elem.topics.map { case (t, _) => ae.semantic(t) }).toSeq
-      val is = eng.activeElements.flatMap(ae => ae.elem.topics.map { case (t, _) => ae.influence(t) }).toSeq
+      val rs = eng.activeElements.flatMap(ae => ae.elem.topics.idx.map(ae.semantic)).toSeq
+      val is = eng.activeElements.flatMap(ae => ae.elem.topics.idx.map(ae.influence)).toSeq
       println(f"${ds.name}: eta=${ds.eta}%.3f meanR=${rs.sum / rs.size}%.3f maxR=${rs.max}%.3f " +
         f"meanI=${is.sum / is.size}%.3f maxI=${is.max}%.3f " +
         f"p99I=${is.sorted.apply((is.size * 0.99).toInt)}%.3f")

@@ -10,18 +10,11 @@ import repro.core._
   */
 object SieveStreaming {
 
-  /** Candidate S_φ for the guess φ = (1+ε)^j of OPT. */
-  private final class Candidate(val phi: Double, val state: CandidateState)
-
   def query(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double): KSirResult = {
     require(k >= 1, "k must be at least 1")
     require(epsilon > 0 && epsilon < 1, "ε must lie in (0,1)")
 
-    val logBase = math.log1p(epsilon)
-    // Candidates for φ_j = (1+ε)^j, in ascending j from jLo.
-    var candidates = new Array[Candidate](0)
-    var jLo = 0
-    var deltaMax = 0.0
+    val candidates = new ThresholdCandidates(engine, q, k, epsilon)
     var evaluated = 0
 
     // Like CELF, SieveStreaming has no index: singleton scores are computed
@@ -29,28 +22,12 @@ object SieveStreaming {
     val probe = new CandidateState(engine, q)
     engine.activeElements.foreach { ae =>
       evaluated += 1
-      val d = probe.gain(ae)
-      if (d > deltaMax) {
-        deltaMax = d
-        val lo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
-        val hi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
-        val next = new Array[Candidate](math.max(0, hi - lo + 1))
-        var j = lo
-        while (j <= hi) {
-          val old = j - jLo
-          next(j - lo) =
-            if (old >= 0 && old < candidates.length) candidates(old)
-            else new Candidate(math.pow(1.0 + epsilon, j), new CandidateState(engine, q))
-          j += 1
-        }
-        candidates = next
-        jLo = lo
-      }
+      candidates.raise(probe.gain(ae))
       var i = 0
-      while (i < candidates.length) {
-        val s = candidates(i).state
+      while (i < candidates.size) {
+        val s = candidates.state(i)
         if (s.size < k) {
-          val tau = (candidates(i).phi / 2.0 - s.score) / (k - s.size)
+          val tau = (candidates.phi(i) / 2.0 - s.score) / (k - s.size)
           val g = s.gain(ae)
           if (g > 0.0 && g >= tau) s.add(ae)
         }
@@ -58,9 +35,6 @@ object SieveStreaming {
       }
     }
 
-    candidates.maxByOption(_.state.score) match {
-      case Some(c) => KSirResult(c.state.members, c.state.score, evaluated, evaluated)
-      case None    => KSirResult(Seq.empty, 0.0, evaluated, evaluated)
-    }
+    candidates.best(evaluated, evaluated)
   }
 }

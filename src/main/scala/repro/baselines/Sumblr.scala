@@ -35,15 +35,15 @@ object Sumblr {
 
     // k-means over sparse topic vectors (dense centroids, few iterations).
     var centroids: Array[Array[Double]] =
-      rnd.shuffle(vecs.indices.toList).take(k).map(i => dense(vecs(i), z)).toArray
+      rnd.shuffle(vecs.indices.toList).take(k).map(i => vecs(i).dense(z)).toArray
     var assign = new Array[Int](vecs.length)
     (0 until 10).foreach { _ =>
-      assign = vecs.map(v => centroids.indices.maxBy(c => dot(v, centroids(c))))
+      assign = vecs.map(v => centroids.indices.maxBy(c => v.dot(centroids(c))))
       val sums = Array.fill(k)(new Array[Double](z))
       val counts = new Array[Int](k)
       vecs.indices.foreach { i =>
         val c = assign(i); counts(c) += 1
-        vecs(i).foreach { case (t, p) => sums(c)(t) += p }
+        vecs(i).foreach((t, p) => sums(c)(t) += p)
       }
       centroids = sums.zip(counts).map { case (s, n) => if (n == 0) s else s.map(_ / n) }
     }
@@ -60,7 +60,7 @@ object Sumblr {
       val members = cands.indices.filter(assign(_) == c)
       if (members.nonEmpty) {
         val best = members.maxBy { i =>
-          val centrality = dot(vecs(i), centroids(c))
+          val centrality = vecs(i).dot(centroids(c))
           val reputation = math.log1p(authorPosts.getOrElse(cands(i).elem.author, 0).toDouble)
           centrality * (1.0 + reputation)
         }
@@ -74,13 +74,5 @@ object Sumblr {
         .take(k - picked.length).foreach(picked += _)
     }
     picked.toSeq
-  }
-
-  private def dense(v: Array[(Int, Double)], z: Int): Array[Double] = {
-    val a = new Array[Double](z); v.foreach { case (t, p) => a(t) = p }; a
-  }
-
-  private def dot(v: Array[(Int, Double)], c: Array[Double]): Double = {
-    var s = 0.0; v.foreach { case (t, p) => s += p * c(t) }; s
   }
 }

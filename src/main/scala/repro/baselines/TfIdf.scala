@@ -26,19 +26,17 @@ final class TfIdfIndex(engine: KSirEngine) {
     if (df == 0 || nDocs == 0) 0.0 else math.log(nDocs.toDouble / df)
   }
 
-  /** Log-normalized TF-IDF vector of a bag of words, as sorted sparse pairs. */
-  def vectorize(wordFreqs: Array[(Int, Int)]): Array[(Int, Double)] =
-    wordFreqs.map { case (w, f) => (w, (1.0 + math.log(f)) * idf(w)) }.filter(_._2 > 0)
+  /** Log-normalized TF-IDF vector of (word, frequency) pairs sorted by word. */
+  def vectorize(wordFreqs: Array[(Int, Int)]): SparseVec =
+    SparseVec(wordFreqs.map { case (w, f) => (w, (1.0 + math.log(f)) * idf(w)) }.filter(_._2 > 0): _*)
 
-  private val vecCache = mutable.LongMap.empty[Array[(Int, Double)]]
+  private val vecCache = mutable.LongMap.empty[SparseVec]
 
-  def vectorOf(ae: ActiveElement): Array[(Int, Double)] =
+  def vectorOf(ae: ActiveElement): SparseVec =
     vecCache.getOrElseUpdate(ae.elem.id, vectorize(ae.elem.wordFreqs))
 
-  def queryVector(keywords: Seq[Int]): Array[(Int, Double)] =
+  def queryVector(keywords: Seq[Int]): SparseVec =
     vectorize(keywords.distinct.map(w => (w, keywords.count(_ == w))).toArray.sortBy(_._1))
-
-  def cosine(a: Array[(Int, Double)], b: Array[(Int, Double)]): Double = VectorOps.cosineSparse(a, b)
 }
 
 object TfIdf {
@@ -47,12 +45,6 @@ object TfIdf {
   def query(engine: KSirEngine, keywords: Seq[Int], k: Int): Seq[Long] = {
     val idx = new TfIdfIndex(engine)
     val qv = idx.queryVector(keywords)
-    engine.activeElements
-      .map(ae => (ae.elem.id, idx.cosine(idx.vectorOf(ae), qv)))
-      .filter(_._2 > 0)
-      .toSeq
-      .sortBy { case (id, s) => (-s, id) }
-      .take(k)
-      .map(_._1)
+    TopKRelevance.top(engine, k)(idx.vectorOf(_).cosine(qv))
   }
 }

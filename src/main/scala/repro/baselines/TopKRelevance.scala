@@ -9,9 +9,12 @@ import repro.core._
   */
 object TopKRelevance {
 
-  def query(engine: KSirEngine, q: QueryVector, k: Int): Seq[Long] =
+  def query(engine: KSirEngine, q: QueryVector, k: Int): Seq[Long] = top(engine, k)(_.elem.topics.cosine(q.entries))
+
+  /** The k active elements with the highest positive `sim`, ties by id. */
+  private[baselines] def top(engine: KSirEngine, k: Int)(sim: ActiveElement => Double): Seq[Long] =
     engine.activeElements
-      .map(ae => (ae.elem.id, VectorOps.cosineSparse(ae.elem.topics, q.entries)))
+      .map(ae => (ae.elem.id, sim(ae)))
       .filter(_._2 > 0)
       .toSeq
       .sortBy { case (id, s) => (-s, id) }

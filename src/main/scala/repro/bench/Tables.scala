@@ -49,7 +49,7 @@ object Tables {
         val idx = new TfIdfIndex(eng)
         val repr = results.map { case (m, s) =>
           val rels = s.flatMap(eng.activeElement).map(ae =>
-            VectorOps.cosineSparse(ae.elem.topics, wq.vector.entries))
+            ae.elem.topics.cosine(wq.vector.entries))
           val meanRel = if (rels.isEmpty) 0.0 else rels.sum / rels.size
           m -> (meanRel * EvalMetrics.coverageTfIdf(eng, idx, s, wq.vector))
         }

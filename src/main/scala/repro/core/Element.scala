@@ -8,8 +8,8 @@ package repro.core
   * @param words  bag of words as vocabulary indices, repetitions allowed
   * @param refs   ids of the elements this element refers to (retweet / cite /
   *               comment targets); empty for original posts
-  * @param topics sparse topic distribution `p_i(e)`: (topicId, probability)
-  *               pairs with probability > 0, summing to 1, sorted by topicId
+  * @param topics sparse topic distribution `p_i(e)` over topic ids, with
+  *               probabilities > 0 summing to 1
   * @param author author id — used only by the author-reputation-based
   *               baseline (Sumblr); the k-SIR model itself is author-free
   */
@@ -18,7 +18,7 @@ final case class Element(
     ts: Long,
     words: Array[Int],
     refs: Array[Long],
-    topics: Array[(Int, Double)],
+    topics: SparseVec,
     author: Long = 0L,
 ) {
 
@@ -28,16 +28,6 @@ final case class Element(
     var i = 0
     while (i < words.length) { m(words(i).toLong) = m.getOrElse(words(i).toLong, 0) + 1; i += 1 }
     m.iterator.map { case (w, c) => (w.toInt, c) }.toArray.sortBy(_._1)
-  }
-
-  /** p_i(e), 0 when the element has no mass on topic i. */
-  def pTopic(i: Int): Double = {
-    var j = 0
-    while (j < topics.length) {
-      if (topics(j)._1 == i) return topics(j)._2
-      j += 1
-    }
-    0.0
   }
 }
 

@@ -12,8 +12,7 @@ final case class ChildRef(childId: Long, childTs: Long)
   * counts, per Algorithm 1).
   *
   * All per-topic state lives in flat primitive arrays indexed by the topic's
-  * slot `j` in `elem.topics` (the element's sparse topic support); see
-  * DESIGN §6c.
+  * slot `j` in `topics` (the element's sparse topic support); see DESIGN §6c.
   */
 final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, eta: Double) {
 
@@ -23,9 +22,10 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   /** In-window children: elements of W_t that refer to this element. */
   val children = mutable.ArrayBuffer.empty[ChildRef]
 
-  /** Supported topic ids and p_i(e), aligned with `elem.topics`. */
-  val topicIds: Array[Int] = elem.topics.map(_._1)
-  val topicP: Array[Double] = elem.topics.map(_._2)
+  /** p_i(e), copied from `elem.topics` so that scans over A_t find it next to
+    * the rest of this state in memory, not with the stream's `Element`s.
+    */
+  val topics: SparseVec = new SparseVec(elem.topics.idx.clone, elem.topics.v.clone)
 
   /** Distinct word ids, shared by every row of [[sigma]]. */
   val wordIds: Array[Int] = {
@@ -36,94 +36,65 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
     ids
   }
 
-  /** σ_i(w,e): `sigma(j)(k)` for topic `topicIds(j)` and word `wordIds(k)`. */
-  val sigma: Array[Array[Double]] = {
-    val freqs = elem.wordFreqs
-    val rows = new Array[Array[Double]](topicIds.length)
-    var j = 0
-    while (j < rows.length) {
-      val row = new Array[Double](freqs.length)
-      var k = 0
-      while (k < row.length) {
-        val freq = freqs(k)._2
-        val p = model.pWord(topicIds(j), wordIds(k)) * topicP(j)
-        row(k) = if (p > 0.0) -freq * p * math.log(p) else 0.0
-        k += 1
-      }
-      rows(j) = row
-      j += 1
-    }
-    rows
-  }
+  /** σ_i(w,e): `sigma(j)(k)` for topic `topics.idx(j)` and word `wordIds(k)`. */
+  val sigma: Array[Array[Double]] =
+    Array.tabulate(topics.idx.length)(j => ActiveElement.sigmaRow(model, elem.wordFreqs, topics.idx(j), topics.v(j)))
 
-  /** R_i(e): semantic score per supported topic (static). Summed left to
-    * right from the first entry, as `Array[Double].sum` does.
-    */
-  val rScore: Array[Double] = sigma.map { row =>
-    var s = if (row.length == 0) 0.0 else row(0)
-    var k = 1
-    while (k < row.length) { s += row(k); k += 1 }
-    s
-  }
+  /** R_i(e): semantic score per supported topic (static). */
+  val rScore: Array[Double] = sigma.map(ActiveElement.rowSum)
 
   /** δ_i(e) per supported topic as last written to the ranked lists, so an
     * entry can be found and removed when the score changes.
     */
-  private[core] val listedDelta: Array[Double] = new Array[Double](topicIds.length)
+  private[core] val listedDelta: Array[Double] = new Array[Double](topics.idx.length)
 
   /** Σ_{c ∈ children} p_i(c) per supported topic; I_{i,t}(e) = p_i(e)·sum. */
-  private val childPSum: Array[Double] = new Array[Double](topicIds.length)
+  private val childPSum: Array[Double] = new Array[Double](topics.idx.length)
 
   private var childPBuf: Array[Double] = ActiveElement.NoChildP
 
   /** p_i(c) of each child c per supported topic i, child-major:
-    * `childP(c * topicIds.length + j)`, aligned with `children`.
+    * `childP(c * topics.idx.length + j)`, aligned with `children`.
     */
   private[core] def childP: Array[Double] = childPBuf
 
-  /** Slot of `topic` in the support, or -1 outside it. */
-  def topicIndex(topic: Int): Int = {
-    var j = 0
-    while (j < topicIds.length) { if (topicIds(j) == topic) return j; j += 1 }
-    -1
-  }
-
   /** I_{i,t}(e) for the singleton set (Equation 4 with S = {e}). */
   def influence(topic: Int): Double = {
-    val j = topicIndex(topic)
-    if (j < 0) 0.0 else topicP(j) * childPSum(j)
+    val j = topics.indexOf(topic)
+    if (j < 0) 0.0 else topics.v(j) * childPSum(j)
   }
 
   /** R_i(e), 0 outside the element's topic support. */
   def semantic(topic: Int): Double = {
-    val j = topicIndex(topic)
+    val j = topics.indexOf(topic)
     if (j < 0) 0.0 else rScore(j)
   }
 
   /** δ_i(e) = f_i({e}) = λ·R_i(e) + (1-λ)/η·I_{i,t}(e). */
   def delta(topic: Int): Double = {
-    val j = topicIndex(topic)
+    val j = topics.indexOf(topic)
     if (j < 0) 0.0 else deltaAt(j)
   }
 
   /** δ_i(e) for the topic in slot `j`. */
-  def deltaAt(j: Int): Double = lambda * rScore(j) + (1.0 - lambda) / eta * topicP(j) * childPSum(j)
+  def deltaAt(j: Int): Double = lambda * rScore(j) + (1.0 - lambda) / eta * topics.v(j) * childPSum(j)
 
-  /** σ_i(w,e) pairs for a topic, empty outside the support (for tests). */
-  def sigmaFor(topic: Int): Array[(Int, Double)] = {
-    val j = topicIndex(topic)
-    if (j < 0) Array.empty else wordIds.zip(sigma(j))
+  /** σ_i(w,e) over the word ids for a topic, empty outside the support (for tests). */
+  def sigmaFor(topic: Int): SparseVec = {
+    val j = topics.indexOf(topic)
+    if (j < 0) SparseVec.empty else new SparseVec(wordIds, sigma(j))
   }
 
   private[core] def addChild(child: Element): Unit = {
-    val stride = topicIds.length
+    val ids = topics.idx
+    val stride = ids.length
     val at = children.length * stride
     if (at + stride > childPBuf.length)
       childPBuf = java.util.Arrays.copyOf(childPBuf, math.max(4 * stride, 2 * childPBuf.length))
     children += ChildRef(child.id, child.ts)
     var j = 0
     while (j < stride) {
-      val p = child.pTopic(topicIds(j))
+      val p = child.topics(ids(j))
       childPBuf(at + j) = p
       childPSum(j) += p
       j += 1
@@ -133,7 +104,7 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   /** Drop children with ts < windowStart; returns true if any were dropped. */
   private[core] def expireChildren(windowStart: Long): Boolean = {
     val before = children.length
-    val stride = topicIds.length
+    val stride = topics.idx.length
     var kept = 0
     var c = 0
     while (c < before) {
@@ -164,6 +135,30 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
 
 object ActiveElement {
   private val NoChildP = new Array[Double](0)
+
+  /** σ_i(w,e) = −γ(w,e)·p·log p with p = p_i(w)·p_i(e), for each (word,
+    * frequency) pair of `freqs` on topic i with p_i(e) = `pe`; 0 where p = 0.
+    */
+  def sigmaRow(model: TopicModel, freqs: Array[(Int, Int)], topic: Int, pe: Double): Array[Double] = {
+    val row = new Array[Double](freqs.length)
+    var k = 0
+    while (k < row.length) {
+      val p = model.pWord(topic, freqs(k)._1) * pe
+      row(k) = if (p > 0.0) -freqs(k)._2 * p * math.log(p) else 0.0
+      k += 1
+    }
+    row
+  }
+
+  /** R_i(e) = Σ_w σ_i(w,e) over a [[sigmaRow]], summed left to right from the
+    * first entry, as `Array[Double].sum` does.
+    */
+  def rowSum(row: Array[Double]): Double = {
+    var s = if (row.length == 0) 0.0 else row(0)
+    var k = 1
+    while (k < row.length) { s += row(k); k += 1 }
+    s
+  }
 }
 
 /** The k-SIR maintenance engine (Figure 4): the Active Window `A_t`, the
@@ -231,12 +226,23 @@ final class KSirEngine(
     */
   def advance(bucket: Bucket): Unit = {
     require(bucket.endTs > nowTs, s"buckets must advance time: ${bucket.endTs} <= $nowTs")
-    // Element ids are unique over the stream, checked before any state
-    // changes: a second element under an id would replace the first in A_t
-    // and leave the first's list entries behind.
+    // The input contract, checked before any state changes so a rejected
+    // bucket leaves the engine as it was: topic and word ids index the model,
+    // no element refers to itself, and ids are unique over the stream (a
+    // second element under an id would replace the first in A_t).
     val ids = new Array[Long](bucket.elements.length)
     var n = 0
-    bucket.elements.foreach { e => ids(n) = e.id; n += 1 }
+    bucket.elements.foreach { e =>
+      val t = e.topics.idx
+      require(t.isEmpty || (t(0) >= 0 && t(t.length - 1) < model.z), s"element ${e.id}: topic id outside [0, ${model.z})")
+      var w = 0
+      while (w < e.words.length && e.words(w) >= 0 && e.words(w) < model.vocabSize) w += 1
+      require(w == e.words.length, s"element ${e.id}: word id outside [0, ${model.vocabSize})")
+      var r = 0
+      while (r < e.refs.length && e.refs(r) != e.id) r += 1
+      require(r == e.refs.length, s"element ${e.id} refers to itself")
+      ids(n) = e.id; n += 1
+    }
     java.util.Arrays.sort(ids)
     var i = 0
     while (i < n) {
@@ -301,7 +307,7 @@ final class KSirEngine(
     while (j < scores.length) {
       val s = ae.deltaAt(j)
       scores(j) = s
-      lists(ae.topicIds(j)).add(s, ae.elem.id)
+      lists(ae.topics.idx(j)).add(s, ae.elem.id)
       j += 1
     }
   }
@@ -310,7 +316,7 @@ final class KSirEngine(
     val scores = ae.listedDelta
     var j = 0
     while (j < scores.length) {
-      val list = lists(ae.topicIds(j))
+      val list = lists(ae.topics.idx(j))
       val s = ae.deltaAt(j)
       if (s != scores(j)) {
         list.remove(scores(j), ae.elem.id)
@@ -325,7 +331,7 @@ final class KSirEngine(
     val scores = ae.listedDelta
     var j = 0
     while (j < scores.length) {
-      lists(ae.topicIds(j)).remove(scores(j), ae.elem.id)
+      lists(ae.topics.idx(j)).remove(scores(j), ae.elem.id)
       j += 1
     }
   }
@@ -342,11 +348,7 @@ final class KSirEngine(
   def deltaScore(ae: ActiveElement, q: QueryVector): Double = {
     var s = 0.0
     var j = 0
-    while (j < q.entries.length) {
-      val e = q.entries(j)
-      s += e._2 * ae.delta(e._1)
-      j += 1
-    }
+    while (j < q.d) { s += q.entries.v(j) * ae.delta(q.entries.idx(j)); j += 1 }
     s
   }
 

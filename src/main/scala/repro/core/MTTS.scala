@@ -10,35 +10,25 @@ package repro.core
   */
 object MTTS {
 
-  /** Candidate S_j with its admission threshold τ_j = φ_j / 2k. */
-  private final class Candidate(val tau: Double, val state: CandidateState)
-
   def query(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double): KSirResult = {
     require(k >= 1, "k must be at least 1")
     require(epsilon > 0 && epsilon < 1, "ε must lie in (0,1)")
 
     val cursor = new RankedListCursor(engine, q)
-    val logBase = math.log1p(epsilon)
-    // Candidates for φ_j = (1+ε)^j, in ascending j from jLo.
-    var candidates = new Array[Candidate](0)
-    var jLo = 0
-    var deltaMax = 0.0
+    // Candidate S_j admits e when δ(e) and Δ(e|S_j) reach τ_j = φ_j / 2k.
+    val candidates = new ThresholdCandidates(engine, q, k, epsilon)
     var evaluated = 0
 
+    // TH: min τ_j over unfilled candidates; 0 before any candidate opens and
+    // +∞ once every candidate is full (no element can be admitted anywhere).
     def threshold: Double = {
-      // TH: min τ_j over unfilled candidates; +∞ when every candidate is
-      // full (no further element can be admitted anywhere).
-      if (candidates.isEmpty) 0.0
-      else {
-        var th = Double.PositiveInfinity
-        var i = 0
-        while (i < candidates.length) {
-          val c = candidates(i)
-          if (c.state.size < k && c.tau < th) th = c.tau
-          i += 1
-        }
-        th
+      var th = if (candidates.size == 0) 0.0 else Double.PositiveInfinity
+      var i = 0
+      while (i < candidates.size) {
+        if (candidates.state(i).size < k && candidates.tau(i) < th) th = candidates.tau(i)
+        i += 1
       }
+      th
     }
 
     var ub = cursor.upperBound
@@ -48,28 +38,12 @@ object MTTS {
       if (ae != null) {
         evaluated += 1
         val deltaE = engine.deltaScore(ae, q)
-        if (deltaE > deltaMax) {
-          deltaMax = deltaE
-          // Maintain Φ = { (1+ε)^j : δmax ≤ (1+ε)^j ≤ 2·k·δmax }, keeping
-          // the candidates already open inside the new range.
-          val lo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
-          val hi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
-          val next = new Array[Candidate](math.max(0, hi - lo + 1))
-          var j = lo
-          while (j <= hi) {
-            val old = j - jLo
-            next(j - lo) =
-              if (old >= 0 && old < candidates.length) candidates(old)
-              else new Candidate(math.pow(1.0 + epsilon, j) / (2.0 * k), new CandidateState(engine, q))
-            j += 1
-          }
-          candidates = next
-          jLo = lo
-        }
+        candidates.raise(deltaE)
         var i = 0
-        while (i < candidates.length) {
-          val c = candidates(i)
-          if (deltaE >= c.tau && c.state.size < k && c.state.gain(ae) >= c.tau) c.state.add(ae)
+        while (i < candidates.size) {
+          val tau = candidates.tau(i)
+          val s = candidates.state(i)
+          if (deltaE >= tau && s.size < k && s.gain(ae) >= tau) s.add(ae)
           i += 1
         }
       }
@@ -77,9 +51,6 @@ object MTTS {
       ub = cursor.upperBound
     }
 
-    candidates.maxByOption(_.state.score) match {
-      case Some(c) => KSirResult(c.state.members, c.state.score, evaluated, cursor.retrievedCount)
-      case None    => KSirResult(Seq.empty, 0.0, evaluated, cursor.retrievedCount)
-    }
+    candidates.best(evaluated, cursor.retrievedCount)
   }
 }

@@ -17,14 +17,11 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
   private val lambda = engine.lambda
   private val etaInv = (1.0 - engine.lambda) / engine.eta
 
-  private val qTopic: Array[Int] = q.entries.map(_._1)
-  private val qX: Array[Double] = q.entries.map(_._2)
-
   // One map per non-zero query entry, keyed by word id.
-  private val covered: Array[LongDoubleMap] = Array.fill(qTopic.length)(new LongDoubleMap)
+  private val covered: Array[LongDoubleMap] = Array.fill(q.d)(new LongDoubleMap)
 
   // One map per non-zero query entry, keyed by influenced child id.
-  private val prodComp: Array[LongDoubleMap] = Array.fill(qTopic.length)(new LongDoubleMap)
+  private val prodComp: Array[LongDoubleMap] = Array.fill(q.d)(new LongDoubleMap)
 
   private val memberIds = mutable.ArrayBuffer.empty[Long]
   private var fScore = 0.0
@@ -48,16 +45,19 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
 
   /** Δ(e|S); with `commit`, also records e's coverage in the state. */
   private def marginal(ae: ActiveElement, commit: Boolean): Double = {
+    val qTopic = q.entries.idx
+    val qX = q.entries.v
+    val topics = ae.topics
     val words = ae.wordIds
     val childP = ae.childP
-    val stride = ae.topicIds.length
+    val stride = topics.idx.length
     val children = ae.children
     var total = 0.0
     var qi = 0
     while (qi < qTopic.length) {
-      val j = ae.topicIndex(qTopic(qi))
-      if (j >= 0 && ae.topicP(j) > 0.0) {
-        val pe = ae.topicP(j)
+      val j = topics.indexOf(qTopic(qi))
+      if (j >= 0 && topics.v(j) > 0.0) {
+        val pe = topics.v(j)
         val cov = covered(qi)
         val sig = ae.sigma(j)
         var dR = 0.0
@@ -181,9 +181,9 @@ final case class KSirResult(elements: Seq[Long], score: Double, evaluated: Int, 
   */
 final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
 
-  private val d = q.entries.length
-  private val x: Array[Double] = q.entries.map(_._2)
-  private val lists: Array[RankedList] = q.entries.map(e => engine.list(e._1))
+  private val d = q.d
+  private val x = q.entries.v
+  private val lists: Array[RankedList] = q.entries.idx.map(engine.list)
   private val chunkAt = new Array[Int](d)
   // Slot of each list's head in its chunk; -1 before the first entry.
   private val slotAt = Array.fill(d)(-1)

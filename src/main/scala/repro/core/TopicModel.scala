@@ -27,7 +27,7 @@ final class TopicModel(
     * renormalized — matching the paper's observation that elements sit on
     * very few topics (<2 on average).
     */
-  def infer(words: Seq[Int], maxTopics: Int = 5): Array[(Int, Double)] = {
+  def infer(words: Seq[Int], maxTopics: Int = 5): SparseVec = {
     val scores = new Array[Double](z)
     var i = 0
     while (i < z) {
@@ -38,56 +38,25 @@ final class TopicModel(
     }
     val top = scores.zipWithIndex.filter(_._1 > 0).sortBy(-_._1).take(maxTopics)
     val norm = top.map(_._1).sum
-    if (norm <= 0) Array.empty
-    else top.map { case (s, t) => (t, s / norm) }.sortBy(_._1)
+    if (norm <= 0) SparseVec.empty
+    else SparseVec(top.map { case (s, t) => (t, s / norm) }.sortBy(_._1): _*)
   }
 }
 
 /** A z-dimensional query vector x (sparse): the user's degree of interest on
   * each topic, normalized to sum to 1 (§3.2).
   */
-final case class QueryVector(entries: Array[(Int, Double)]) {
-  require(entries.forall(_._2 > 0), "query vector entries must be positive")
+final case class QueryVector(entries: SparseVec) {
+  require(entries.v.forall(_ > 0), "query vector entries must be positive")
 
   /** d: the number of non-zero entries (used in the complexity analyses). */
-  def d: Int = entries.length
-
-  def x(i: Int): Double = {
-    var j = 0
-    while (j < entries.length) { if (entries(j)._1 == i) return entries(j)._2; j += 1 }
-    0.0
-  }
-
-  /** Dense copy, for cosine-based baselines. */
-  def dense(z: Int): Array[Double] = {
-    val a = new Array[Double](z)
-    entries.foreach { case (i, v) => a(i) = v }
-    a
-  }
+  def d: Int = entries.idx.length
 }
 
 object QueryVector {
-  def apply(pairs: (Int, Double)*): QueryVector = QueryVector(pairs.filter(_._2 > 0).sortBy(_._1).toArray)
+  def apply(pairs: (Int, Double)*): QueryVector = QueryVector(SparseVec(pairs.filter(_._2 > 0).sortBy(_._1): _*))
 
   /** Build a query vector from keywords via the topic model (§3.2). */
   def fromKeywords(model: TopicModel, keywords: Seq[Int], maxTopics: Int = 5): QueryVector =
     QueryVector(model.infer(keywords, maxTopics))
-}
-
-/** Shared vector math for the cosine-similarity baselines. */
-object VectorOps {
-  def cosineSparse(a: Array[(Int, Double)], b: Array[(Int, Double)]): Double = {
-    // Both sorted by index: linear merge.
-    var i = 0; var j = 0; var dot = 0.0; var na = 0.0; var nb = 0.0
-    while (i < a.length) { na += a(i)._2 * a(i)._2; i += 1 }
-    while (j < b.length) { nb += b(j)._2 * b(j)._2; j += 1 }
-    i = 0; j = 0
-    while (i < a.length && j < b.length) {
-      val (ia, va) = a(i); val (ib, vb) = b(j)
-      if (ia == ib) { dot += va * vb; i += 1; j += 1 }
-      else if (ia < ib) i += 1
-      else j += 1
-    }
-    if (na == 0 || nb == 0) 0.0 else dot / math.sqrt(na * nb)
-  }
 }

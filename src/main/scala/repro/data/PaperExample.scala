@@ -23,7 +23,7 @@ object PaperExample {
   }
 
   private def el(id: Long, ts: Long, words: Seq[Int], t1: Double, t2: Double, refs: Seq[Long]): Element = {
-    val topics = Seq((0, t1), (1, t2)).filter(_._2 > 0).map { case (i, p) => (i, p) }.toArray
+    val topics = SparseVec(Seq((0, t1), (1, t2)).filter(_._2 > 0): _*)
     Element(id, ts, words.toArray.map(identity), refs.toArray, topics)
   }
 

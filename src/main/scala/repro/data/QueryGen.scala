@@ -62,7 +62,7 @@ object QueryGen {
       val vec = sharpen(QueryVector.fromKeywords(model, words, maxTopics))
       val ts = minTs + (if (maxTs > minTs) rnd.nextLong(maxTs - minTs + 1) else 0L)
       WorkloadQuery(words, vec, ts)
-    }.filter(_.vector.entries.nonEmpty)
+    }.filter(_.vector.d > 0)
   }
 
   /** Keep the dominant topics carrying 85% of the inferred mass (Gibbs-style
@@ -70,14 +70,14 @@ object QueryGen {
     * then renormalize.
     */
   def sharpen(q: QueryVector, mass: Double = 0.85): QueryVector = {
-    if (q.entries.isEmpty) return q
-    val desc = q.entries.sortBy(-_._2)
+    if (q.d == 0) return q
+    val desc = q.entries.toSeq.sortBy(-_._2)
     val kept = scala.collection.mutable.ArrayBuffer.empty[(Int, Double)]
     var acc = 0.0
     desc.foreach { e =>
       if (acc < mass) { kept += e; acc += e._2 }
     }
     val norm = kept.map(_._2).sum
-    QueryVector(kept.map { case (t, p) => (t, p / norm) }.sortBy(_._1).toArray)
+    QueryVector(kept.map { case (t, p) => (t, p / norm) }.sortBy(_._1).toSeq: _*)
   }
 }

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{Element, TopicModel}
+import repro.core.{Element, SparseVec, TopicModel}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -150,20 +150,20 @@ object SocialStreamGen {
         (t, if (i == 0) 0.6 + 0.4 * rnd.nextDouble() else rnd.nextDouble())
       }
       val wNorm = weights.map(_._2).sum
-      val topics = weights.map { case (t, w) => (t, w / wNorm) }.sortBy(_._1)
+      val topics = SparseVec(weights.map { case (t, w) => (t, w / wNorm) }.sortBy(_._1): _*)
       val dominant = weights.maxBy(_._2)._1
 
       // Words drawn from the element's topic mixture.
       val len = math.max(1, poisson(config.avgLen))
       val topicsCdf = {
-        val c = new Array[Double](topics.length)
+        val c = new Array[Double](topics.v.length)
         var acc = 0.0
         var i = 0
-        while (i < topics.length) { acc += topics(i)._2; c(i) = acc; i += 1 }
+        while (i < c.length) { acc += topics.v(i); c(i) = acc; i += 1 }
         c
       }
       val words = Array.fill(len) {
-        val t = topics(search(topicsCdf, rnd.nextDouble()))._1
+        val t = topics.idx(search(topicsCdf, rnd.nextDouble()))
         search(cdfs(t), rnd.nextDouble())
       }
 
@@ -229,7 +229,7 @@ object SocialStreamGen {
   def toDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
     import spark.implicits._
     elements
-      .map(e => (e.id, e.ts, e.words.toSeq, e.refs.toSeq, e.topics.toSeq.map(t => (t._1, t._2))))
+      .map(e => (e.id, e.ts, e.words.toSeq, e.refs.toSeq, e.topics.toSeq))
       .toDF("id", "ts", "words", "refs", "topics")
   }
 
@@ -242,7 +242,7 @@ object SocialStreamGen {
   /** Exploded (element, topic, p) view. */
   def topicsDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
     import spark.implicits._
-    elements.flatMap(e => e.topics.map { case (t, p) => (e.id, t, p) }).toDF("elem", "topic", "p")
+    elements.flatMap(e => e.topics.toSeq.map { case (t, p) => (e.id, t, p) }).toDF("elem", "topic", "p")
   }
 
   /** Exploded (topic, word, p) view of a topic model (only p > 0 rows for the

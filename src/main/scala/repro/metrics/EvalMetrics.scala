@@ -26,44 +26,29 @@ object EvalMetrics {
     * the Table 5/6 benches; pass the window's [[repro.baselines.TfIdfIndex]]
     * so its vector cache is shared across the methods under comparison.
     */
-  def coverageTfIdf(
-      engine: KSirEngine,
-      idx: repro.baselines.TfIdfIndex,
-      s: Seq[Long],
-      q: QueryVector,
-  ): Double = {
-    val sVecs = s.flatMap(engine.activeElement).map(idx.vectorOf)
-    if (sVecs.isEmpty) return 0.0
-    var num = 0.0
-    var den = 0.0
-    engine.activeElements.foreach { ae =>
-      if (!s.contains(ae.elem.id)) {
-        val rel = VectorOps.cosineSparse(ae.elem.topics, q.entries)
-        if (rel > 0) {
-          val v = idx.vectorOf(ae)
-          val best = sVecs.map(sv => VectorOps.cosineSparse(v, sv)).maxOption.getOrElse(0.0)
-          num += rel * best
-          den += rel
-        }
-      }
-    }
-    if (den == 0.0) 0.0 else num / den
-  }
+  def coverageTfIdf(engine: KSirEngine, idx: repro.baselines.TfIdfIndex, s: Seq[Long], q: QueryVector): Double =
+    coverage(engine, s, q, idx.vectorOf)
 
   /** Coverage with topic-vector similarity on both factors — the Spark /
     * DuckDB-checked formulation (see [[coverageDF]]).
     */
-  def coverageLocal(engine: KSirEngine, s: Seq[Long], q: QueryVector): Double = {
-    val sVecs = s.flatMap(engine.activeElement).map(_.elem.topics)
+  def coverageLocal(engine: KSirEngine, s: Seq[Long], q: QueryVector): Double =
+    coverage(engine, s, q, _.elem.topics)
+
+  /** Coverage with sim(e,e') the cosine between the `vec`s of e and e'. */
+  private def coverage(engine: KSirEngine, s: Seq[Long], q: QueryVector, vec: ActiveElement => SparseVec): Double = {
+    val sVecs = s.flatMap(engine.activeElement).map(vec)
     if (sVecs.isEmpty) return 0.0
     var num = 0.0
     var den = 0.0
     engine.activeElements.foreach { ae =>
       if (!s.contains(ae.elem.id)) {
-        val rel = VectorOps.cosineSparse(ae.elem.topics, q.entries)
-        val best = sVecs.map(v => VectorOps.cosineSparse(ae.elem.topics, v)).maxOption.getOrElse(0.0)
-        num += rel * best
-        den += rel
+        val rel = ae.elem.topics.cosine(q.entries)
+        if (rel > 0) {
+          val v = vec(ae)
+          num += rel * sVecs.map(v.cosine).maxOption.getOrElse(0.0)
+          den += rel
+        }
       }
     }
     if (den == 0.0) 0.0 else num / den
@@ -77,7 +62,7 @@ object EvalMetrics {
     import spark.implicits._
     val qDf = q.entries.toSeq.toDF("topic", "x")
     val norms = actives.groupBy("elem").agg(sqrt(sum(col("p") * col("p"))) as "norm")
-    val qNorm = math.sqrt(q.entries.map(e => e._2 * e._2).sum)
+    val qNorm = math.sqrt(q.entries.v.map(x => x * x).sum)
     val rest = actives.where(!col("elem").isin(s: _*))
     val sTopics = actives.where(col("elem").isin(s: _*))
       .select(col("elem") as "selem", col("topic"), col("p") as "sp")

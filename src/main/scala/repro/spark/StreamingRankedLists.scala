@@ -2,11 +2,11 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{Bucket, Element, TopicModel}
+import repro.core.{ActiveElement, Bucket, Element, TopicModel}
 
 /** Event delivered to the per-topic stateful operator. Three kinds:
   *  - `kind = 0` (insert): element `id` with semantic score `rScore` and
-  *    topic probability `pTopic` enters topic `topic`'s list (Alg. 1 l. 4–7);
+  *    topic probability `pe` enters topic `topic`'s list (Alg. 1 l. 4–7);
   *  - `kind = 1` (ref): element `id` (the child, with probability `pChild`
   *    on this topic) refers to `parentId` — the parent's influence score and
   *    last-referred time are updated (Alg. 1 l. 8–11). Ref events are routed
@@ -22,7 +22,7 @@ final case class TopicEvent(
     ts: Long,
     bucketEnd: Long,
     rScore: Double,
-    pTopic: Double,
+    pe: Double,
     parentId: Long,
     pChild: Double,
     // Parent snapshot on ref events, so a parent discarded from the state
@@ -39,7 +39,7 @@ final case class StatefulElem(
     ts: Long,
     lastRef: Long,
     rScore: Double,
-    pTopic: Double,
+    pe: Double,
     children: List[ChildEntry],
 )
 
@@ -74,18 +74,18 @@ object StreamingRankedLists {
       val ticks = (0 until model.z).map(t => TopicEvent(t, 2, 0L, b.endTs, b.endTs, 0, 0, 0L, 0))
       val rows = b.elements.flatMap { e =>
         elemOf(e.id) = e
-        val inserts = e.topics.map { case (t, pe) =>
+        val inserts = e.topics.toSeq.map { case (t, pe) =>
           TopicEvent(t, 0, e.id, e.ts, b.endTs, semantic(model, e, t, pe), pe, 0L, 0)
         }
         val refs = e.refs.toSeq.flatMap { pid =>
           elemOf.get(pid).toSeq.flatMap { parent =>
-            parent.topics.map { case (t, pp) =>
-              TopicEvent(t, 1, e.id, e.ts, b.endTs, 0, 0, pid, e.pTopic(t),
+            parent.topics.toSeq.map { case (t, pp) =>
+              TopicEvent(t, 1, e.id, e.ts, b.endTs, 0, 0, pid, e.topics(t),
                 parentTs = parent.ts, parentR = semantic(model, parent, t, pp), parentP = pp)
             }
           }
         }
-        inserts.toSeq ++ refs
+        inserts ++ refs
       }
       rows ++ ticks
     }
@@ -93,10 +93,7 @@ object StreamingRankedLists {
 
   /** R_i(e) for one topic — Σ_w −γ(w,e)·p_i(w,e)·log p_i(w,e). */
   def semantic(model: TopicModel, e: Element, topic: Int, pe: Double): Double =
-    e.wordFreqs.map { case (w, freq) =>
-      val p = model.pWord(topic, w) * pe
-      if (p > 0) -freq * p * math.log(p) else 0.0
-    }.sum
+    ActiveElement.rowSum(ActiveElement.sigmaRow(model, e.wordFreqs, topic, pe))
 
   /** The stateful dataflow: events keyed by topic, state = the topic's list,
     * output = the top-`topN` ranked entries after each bucket.
@@ -129,7 +126,7 @@ object StreamingRankedLists {
       bucketEnd = math.max(bucketEnd, ev.bucketEnd)
       ev.kind match {
         case 0 =>
-          elems += ev.id -> StatefulElem(ev.id, ev.ts, ev.ts, ev.rScore, ev.pTopic, Nil)
+          elems += ev.id -> StatefulElem(ev.id, ev.ts, ev.ts, ev.rScore, ev.pe, Nil)
         case 1 =>
           // Resurrect a discarded parent on re-reference (the ref event
           // carries the parent's static scores for exactly this case).
@@ -151,7 +148,7 @@ object StreamingRankedLists {
 
     val ranked = elems.values.toSeq
       .map { e =>
-        val inf = e.pTopic * e.children.map(_.pChild).sum
+        val inf = e.pe * e.children.map(_.pChild).sum
         (e.id, lambda * e.rScore + (1 - lambda) / eta * inf)
       }
       .sortBy { case (id, d) => (-d, -id) }

@@ -60,7 +60,7 @@ class BaselinesSpec extends AnyFunSuite {
   test("REL returns elements ordered by cosine similarity to the query vector") {
     val q = QueryVector(0 -> 1.0)
     val res = TopKRelevance.query(eng, q, 3)
-    val sims = res.map(id => VectorOps.cosineSparse(eng.activeElement(id).get.elem.topics, q.entries))
+    val sims = res.map(id => eng.activeElement(id).get.elem.topics.cosine(q.entries))
     assert(sims == sims.sorted(Ordering[Double].reverse))
     // e3 (0.89 on θ1) beats e1 (0.2 on θ1) for a pure-θ1 query.
     assert(res.indexOf(3L) >= 0)

@@ -22,7 +22,7 @@ class TfIdfOracleSpec extends SparkSpec {
     val idx = new TfIdfIndex(engine)
     // Flatten the index's element vectors into rows.
     val ours = engine.activeElements.flatMap { ae =>
-      idx.vectorOf(ae).map { case (w, v) => (ae.elem.id, w, v) }
+      idx.vectorOf(ae).toSeq.map { case (w, v) => (ae.elem.id, w, v) }
     }.toSeq.toDF("elem", "word", "weight")
     val wordRows = engine.activeElements.flatMap { ae =>
       ae.elem.wordFreqs.map { case (w, f) => (ae.elem.id, w, f) }
@@ -62,7 +62,7 @@ class TfIdfOracleSpec extends SparkSpec {
     val res = TfIdf.query(engine, kw, 5)
     val qv = idx.queryVector(kw)
     val expected = engine.activeElements
-      .map(ae => (ae.elem.id, idx.cosine(idx.vectorOf(ae), qv)))
+      .map(ae => (ae.elem.id, idx.vectorOf(ae).cosine(qv)))
       .filter(_._2 > 0).toSeq.sortBy { case (id, s) => (-s, id) }.take(5).map(_._1)
     assert(res == expected)
   }

@@ -168,7 +168,7 @@ class AlgorithmsSpec extends AnyFunSuite {
   test("query on a topic with no elements returns empty") {
     val model = new TopicModel(2, 4, Array(Array(0.5, 0.5, 0, 0), Array(0, 0, 0.5, 0.5)))
     val eng = new KSirEngine(model, 10, 0.5, 1.0)
-    eng.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, Array((0, 1.0))))))
+    eng.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, SparseVec(0 -> 1.0)))))
     val q = QueryVector(1 -> 1.0)
     assert(MTTS.query(eng, q, 2, 0.1).elements.isEmpty)
     assert(MTTD.query(eng, q, 2, 0.1).elements.isEmpty)

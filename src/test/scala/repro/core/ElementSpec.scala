@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class ElementSpec extends AnyFunSuite {
 
   private def el(id: Long, ts: Long, words: Seq[Int] = Seq(1), refs: Seq[Long] = Seq.empty) =
-    Element(id, ts, words.toArray, refs.toArray, Array((0, 1.0)))
+    Element(id, ts, words.toArray, refs.toArray, SparseVec(0 -> 1.0))
 
   test("wordFreqs counts repetitions") {
     val e = el(1, 1, Seq(3, 5, 3, 3, 5, 7))
@@ -22,13 +22,13 @@ class ElementSpec extends AnyFunSuite {
   }
 
   test("pTopic returns the probability on a supported topic") {
-    val e = Element(1, 1, Array(1), Array.empty, Array((2, 0.3), (5, 0.7)))
-    assert(e.pTopic(2) == 0.3 && e.pTopic(5) == 0.7)
+    val e = Element(1, 1, Array(1), Array.empty, SparseVec(2 -> 0.3, 5 -> 0.7))
+    assert(e.topics(2) == 0.3 && e.topics(5) == 0.7)
   }
 
   test("pTopic returns 0 outside the support") {
-    val e = Element(1, 1, Array(1), Array.empty, Array((2, 0.3), (5, 0.7)))
-    assert(e.pTopic(0) == 0.0 && e.pTopic(4) == 0.0 && e.pTopic(99) == 0.0)
+    val e = Element(1, 1, Array(1), Array.empty, SparseVec(2 -> 0.3, 5 -> 0.7))
+    assert(e.topics(0) == 0.0 && e.topics(4) == 0.0 && e.topics(99) == 0.0)
   }
 
   test("bucketize groups elements into L-length buckets ending at multiples of L") {

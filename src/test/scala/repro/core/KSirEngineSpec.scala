@@ -13,7 +13,7 @@ class KSirEngineSpec extends AnyFunSuite {
   ))
 
   private def el(id: Long, ts: Long, words: Seq[Int], topics: Seq[(Int, Double)], refs: Seq[Long] = Seq.empty) =
-    Element(id, ts, words.toArray, refs.toArray, topics.toArray)
+    Element(id, ts, words.toArray, refs.toArray, SparseVec(topics: _*))
 
   private def mk(window: Long = 4): KSirEngine = new KSirEngine(model, window, 0.5, 2.0)
 
@@ -93,7 +93,7 @@ class KSirEngineSpec extends AnyFunSuite {
     val eng = PropStreams.engine(4)
     (0 until 8).foreach { t =>
       val listed = eng.rankedList(t).map(_._2).toSet
-      val expected = eng.activeElements.filter(_.elem.pTopic(t) > 0).map(_.elem.id).toSet
+      val expected = eng.activeElements.filter(_.elem.topics(t) > 0).map(_.elem.id).toSet
       assert(listed == expected, s"topic $t")
     }
   }
@@ -178,6 +178,38 @@ class KSirEngineSpec extends AnyFunSuite {
     eng.advance(Bucket(7, Seq(el(3, 7, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
     assert(eng.rankedList(0).map(_._2).toSet == Set(1L, 3L))
     assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L))
+  }
+
+  test("a topic or word id outside the model is rejected and leaves the engine unchanged") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.rankedList(1).toSeq)
+    val before = state
+    // The model has z = 2 topics and 4 words; the bad element comes second,
+    // after a valid one that would otherwise be in A_t already.
+    val bad = Seq(
+      el(3, 2, Seq(0), Seq(2 -> 1.0)),
+      el(3, 2, Seq(0), Seq(-1 -> 1.0)),
+      el(3, 2, Seq(0, 4), Seq(0 -> 1.0)),
+      el(3, 2, Seq(-1), Seq(1 -> 1.0)),
+    )
+    bad.foreach { e =>
+      intercept[IllegalArgumentException](eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), e))))
+      assert(state == before, e)
+    }
+    eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    assert(eng.activeCount == 2 && eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(2L))
+  }
+
+  test("an element referring to itself is rejected and leaves the engine unchanged") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.activeElement(1).get.children.length)
+    val before = state
+    intercept[IllegalArgumentException](
+      eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), el(3, 2, Seq(0), Seq(0 -> 1.0), refs = Seq(1, 3))))))
+    assert(state == before)
+    assert(eng.activeElement(3).isEmpty)
   }
 
   test("a bucket older than the previous bucket still expires on time") {
@@ -271,16 +303,16 @@ class KSirEngineSpec extends AnyFunSuite {
         }
         (0 until 6).foreach { t =>
           val list = eng.rankedList(t).toSeq
-          assert(list.map(_._2).toSet == expected.filter(byId(_).pTopic(t) > 0), s"RL_$t at t=${b.endTs}")
+          assert(list.map(_._2).toSet == expected.filter(byId(_).topics(t) > 0), s"RL_$t at t=${b.endTs}")
           assert(list == list.sortBy(x => (-x._1, -x._2)), s"RL_$t order")
           list.foreach { case (score, id) =>
             val e = byId(id)
-            val pe = e.pTopic(t)
+            val pe = e.topics(t)
             val r = e.wordFreqs.map { case (w, f) =>
               val p = g.model.pWord(t, w) * pe
               if (p > 0.0) -f * p * math.log(p) else 0.0
             }.sum
-            val infl = pe * children.getOrElse(id, Vector.empty).map(_.pTopic(t)).sum
+            val infl = pe * children.getOrElse(id, Vector.empty).map(_.topics(t)).sum
             val delta = 0.5 * r + 0.5 / 5.0 * infl
             assert(math.abs(score - delta) < 1e-9, s"δ_$t(e$id) at t=${b.endTs}")
           }

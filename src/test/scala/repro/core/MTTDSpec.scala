@@ -80,7 +80,7 @@ class MTTDSpec extends AnyFunSuite {
     val model = new TopicModel(3, 4, Array(
       Array(0.5, 0.5, 0, 0), Array(0, 0, 0.5, 0.5), Array(0.25, 0.25, 0.25, 0.25)))
     val e = new KSirEngine(model, 10, 0.5, 1.0)
-    e.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, Array((0, 1.0))))))
+    e.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, SparseVec(0 -> 1.0)))))
     assert(MTTD.query(e, QueryVector(1 -> 1.0), 2, 0.1).elements.isEmpty)
   }
 

@@ -45,7 +45,7 @@ class MTTSSpec extends AnyFunSuite {
     val res = MTTS.query(eng, QueryVector(0 -> 1.0), 2, 0.1)
     // every retrieved element must have p_1 > 0
     res.elements.foreach { id =>
-      assert(eng.activeElement(id).get.elem.pTopic(0) > 0)
+      assert(eng.activeElement(id).get.elem.topics(0) > 0)
     }
   }
 

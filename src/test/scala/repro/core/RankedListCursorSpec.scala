@@ -70,7 +70,7 @@ class RankedListCursorSpec extends AnyFunSuite {
   test("a query on an empty topic is exhausted immediately") {
     val model = new TopicModel(2, 4, Array(Array(0.5, 0.5, 0, 0), Array(0, 0, 0.5, 0.5)))
     val e = new KSirEngine(model, 10, 0.5, 1.0)
-    e.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, Array((0, 1.0))))))
+    e.advance(Bucket(1, Seq(Element(1, 1, Array(0), Array.empty, SparseVec(0 -> 1.0)))))
     val cursor = new RankedListCursor(e, QueryVector(1 -> 1.0))
     assert(cursor.exhausted && cursor.popMax() == null && cursor.upperBound == 0.0)
   }
@@ -101,7 +101,7 @@ class RankedListCursorSpec extends AnyFunSuite {
     // topic 0's head e7 ties e9's δ_0.
     val model = new TopicModel(2, 4, Array(Array(0.5, 0.5, 0, 0), Array(0, 0, 0.5, 0.5)))
     val e = new KSirEngine(model, 10, 0.5, 2.0)
-    val half = Array((0, 0.5), (1, 0.5))
+    val half = SparseVec(0 -> 0.5, 1 -> 0.5)
     e.advance(Bucket(1, Seq(
       Element(9, 1, Array(0, 0, 0, 2), Array.empty, half),
       Element(8, 1, Array(0, 0, 0, 2, 3), Array.empty, half),

@@ -166,14 +166,14 @@ class RankedListSpec extends AnyFunSuite {
         if (bi >= 3) {
           // Snapshots built from A_t, not from the lists under test.
           val snap = Array.fill(g.model.z)(mutable.TreeSet.empty[(Double, Long)](ListOrder))
-          eng.activeElements.foreach(ae => ae.topicIds.foreach(t => snap(t) += ((ae.delta(t), ae.elem.id))))
+          eng.activeElements.foreach(ae => ae.elem.topics.idx.foreach(t => snap(t) += ((ae.delta(t), ae.elem.id))))
           assert(snap.exists(_.size > 3 * 64), "some list spans several chunks")
           (0 until 8).foreach { _ =>
             val topics = Seq.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.model.z)).distinct.sorted
             val w = topics.map(_ => 0.1 + rnd.nextDouble())
-            val q = QueryVector(topics.zip(w.map(_ / w.sum)).toArray)
+            val q = QueryVector(topics.zip(w.map(_ / w.sum)): _*)
             val cursor = new RankedListCursor(eng, q)
-            val want = new ReferenceCursor(q.entries.map(e => snap(e._1)), q.entries.map(_._2))
+            val want = new ReferenceCursor(q.entries.idx.map(snap), q.entries.v)
             var step = 0
             var done = false
             while (!done) {

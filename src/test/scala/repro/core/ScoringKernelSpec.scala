@@ -21,10 +21,10 @@ class ScoringKernelSpec extends AnyFunSuite {
   private def reference(model: TopicModel, ingested: Seq[Element], windowStart: Long,
                         s: Seq[Element], q: QueryVector): Double = {
     val inWindow = ingested.filter(_.ts >= windowStart)
-    q.entries.map { case (i, xi) =>
+    q.entries.toSeq.map { case (i, xi) =>
       val best = mutable.Map.empty[Int, Double]
       s.foreach { e =>
-        val pe = e.pTopic(i)
+        val pe = e.topics(i)
         if (pe > 0.0) e.wordFreqs.foreach { case (w, freq) =>
           val p = model.pWord(i, w) * pe
           val sigma = if (p > 0.0) -freq * p * math.log(p) else 0.0
@@ -33,7 +33,7 @@ class ScoringKernelSpec extends AnyFunSuite {
       }
       val r = best.values.sum
       val inf = inWindow.map { c =>
-        val notReached = s.filter(e => c.refs.contains(e.id)).map(e => 1.0 - e.pTopic(i) * c.pTopic(i)).product
+        val notReached = s.filter(e => c.refs.contains(e.id)).map(e => 1.0 - e.topics(i) * c.topics(i)).product
         1.0 - notReached
       }.sum
       xi * (Lambda * r + (1.0 - Lambda) / Eta * inf)
@@ -44,8 +44,8 @@ class ScoringKernelSpec extends AnyFunSuite {
     * every topic of `focus`.
     */
   private def randomQuery(rnd: scala.util.Random, elems: Seq[ActiveElement], focus: Option[ActiveElement]): QueryVector = {
-    val drawn = Seq.fill(1 + rnd.nextInt(3))(elems(rnd.nextInt(elems.size)).elem.topics.head._1)
-    val topics = (focus.toSeq.flatMap(_.elem.topics.map(_._1)) ++ drawn).distinct
+    val drawn = Seq.fill(1 + rnd.nextInt(3))(elems(rnd.nextInt(elems.size)).elem.topics.idx.head)
+    val topics = (focus.toSeq.flatMap(_.elem.topics.idx) ++ drawn).distinct
     val w = topics.map(_ => 0.1 + rnd.nextDouble())
     QueryVector(topics.zip(w.map(_ / w.sum)): _*)
   }
@@ -70,7 +70,7 @@ class ScoringKernelSpec extends AnyFunSuite {
         s :+= ae.elem
         fs = fse
         assert(math.abs(cs.score - fs) < 1e-9, s"$what: f(${s.map(_.id)})")
-        if (ae.children.nonEmpty && q.entries.exists(x => ae.influence(x._1) > 0.0)) withInfluence += 1
+        if (ae.children.nonEmpty && q.entries.idx.exists(i => ae.influence(i) > 0.0)) withInfluence += 1
         val (size, score) = (cs.size, cs.score)
         cs.add(ae)
         assert(cs.size == size && cs.score == score, s"$what: re-adding e${ae.elem.id}")
@@ -112,8 +112,8 @@ class ScoringKernelSpec extends AnyFunSuite {
         .getOrElse(fail(s"seed $seed: no parent with young children"))
       // Two children on the parent's topics with different distributions, so
       // the late child's p_i(c) cannot stand in for the young one's.
-      val donors = ingested.filter(_.topics.exists(t => parent.elem.pTopic(t._1) > 0.0))
-      val donor2 = donors.find(e => !e.topics.sameElements(donors.head.topics)).get
+      val donors = ingested.filter(_.topics.idx.exists(t => parent.elem.topics(t) > 0.0))
+      val donor2 = donors.find(e => e.topics.toSeq != donors.head.topics.toSeq).get
       val nextId = ingested.map(_.id).max + 1
       val late = donors.head.copy(id = nextId, ts = ws + 1, refs = Array(parent.elem.id))
       val young = donor2.copy(id = nextId + 1, ts = eng.now + 1, refs = Array(parent.elem.id))
@@ -134,9 +134,9 @@ class ScoringKernelSpec extends AnyFunSuite {
     val eng = new KSirEngine(g.model, 1800L, Lambda, Eta)
     Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
     val parents = eng.activeElements.filter(_.children.length >= 2).toSeq.sortBy(_.elem.id)
-    val topics = parents.map(_.elem.topics.head._1).distinct
+    val topics = parents.map(_.elem.topics.idx.head).distinct
     val q = QueryVector(topics(0) -> 0.6, topics(1) -> 0.4)
-    val onQuery = eng.activeElements.filter(ae => q.entries.exists(x => ae.elem.pTopic(x._1) > 0.0)).toArray.sortBy(_.elem.id)
+    val onQuery = eng.activeElements.filter(ae => q.entries.idx.exists(i => ae.elem.topics(i) > 0.0)).toArray.sortBy(_.elem.id)
     val k = 10
     val cs = new CandidateState(eng, q)
     onQuery.take(k).foreach(cs.add)

@@ -27,42 +27,42 @@ class TopicModelSpec extends AnyFunSuite {
   }
 
   test("infer splits mass proportionally to word likelihood") {
-    val v = model.infer(Seq(1)).toMap
+    val v = model.infer(Seq(1)).toSeq.toMap
     assert(math.abs(v(0) - 0.75) < 1e-12) // 0.3 / (0.3 + 0.1)
     assert(math.abs(v(1) - 0.25) < 1e-12)
   }
 
   test("infer normalizes to 1") {
     val v = model.infer(Seq(0, 1, 2, 3))
-    assert(math.abs(v.map(_._2).sum - 1.0) < 1e-12)
+    assert(math.abs(v.v.sum - 1.0) < 1e-12)
   }
 
   test("infer of out-of-vocabulary words is empty") {
-    assert(model.infer(Seq(17)).isEmpty)
+    assert(model.infer(Seq(17)).idx.isEmpty)
   }
 
   test("infer truncates to maxTopics") {
-    assert(model.infer(Seq(1, 2), maxTopics = 1).length == 1)
+    assert(model.infer(Seq(1, 2), maxTopics = 1).idx.length == 1)
   }
 
   test("query vector entries must be positive") {
-    intercept[IllegalArgumentException](QueryVector(Array((0, -0.1))))
+    intercept[IllegalArgumentException](QueryVector(SparseVec(0 -> -0.1)))
   }
 
   test("QueryVector.apply drops zero entries and sorts") {
     val q = QueryVector(3 -> 0.5, 1 -> 0.5, 2 -> 0.0)
-    assert(q.entries.map(_._1).toSeq == Seq(1, 3))
+    assert(q.entries.idx.toSeq == Seq(1, 3))
     assert(q.d == 2)
   }
 
   test("QueryVector.x looks up by topic") {
     val q = QueryVector(1 -> 0.4, 5 -> 0.6)
-    assert(q.x(5) == 0.6 && q.x(2) == 0.0)
+    assert(q.entries(5) == 0.6 && q.entries(2) == 0.0)
   }
 
   test("dense expands the sparse vector") {
     val q = QueryVector(1 -> 0.4, 3 -> 0.6)
-    assert(q.dense(5).toSeq == Seq(0.0, 0.4, 0.0, 0.6, 0.0))
+    assert(q.entries.dense(5).toSeq == Seq(0.0, 0.4, 0.0, 0.6, 0.0))
   }
 
   test("fromKeywords matches infer") {
@@ -71,24 +71,24 @@ class TopicModelSpec extends AnyFunSuite {
   }
 
   test("cosineSparse of identical vectors is 1") {
-    val v = Array((0, 0.6), (2, 0.8))
-    assert(math.abs(VectorOps.cosineSparse(v, v) - 1.0) < 1e-12)
+    val v = SparseVec(0 -> 0.6, 2 -> 0.8)
+    assert(math.abs(v.cosine(v) - 1.0) < 1e-12)
   }
 
   test("cosineSparse of disjoint vectors is 0") {
-    assert(VectorOps.cosineSparse(Array((0, 1.0)), Array((1, 1.0))) == 0.0)
+    assert(SparseVec(0 -> 1.0).cosine(SparseVec(1 -> 1.0)) == 0.0)
   }
 
   test("cosineSparse matches a dense computation") {
-    val a = Array((0, 0.2), (3, 0.8))
-    val b = Array((0, 0.5), (2, 0.1), (3, 0.4))
+    val a = SparseVec(0 -> 0.2, 3 -> 0.8)
+    val b = SparseVec(0 -> 0.5, 2 -> 0.1, 3 -> 0.4)
     val dot = 0.2 * 0.5 + 0.8 * 0.4
     val na = math.sqrt(0.2 * 0.2 + 0.8 * 0.8)
     val nb = math.sqrt(0.5 * 0.5 + 0.1 * 0.1 + 0.4 * 0.4)
-    assert(math.abs(VectorOps.cosineSparse(a, b) - dot / (na * nb)) < 1e-12)
+    assert(math.abs(a.cosine(b) - dot / (na * nb)) < 1e-12)
   }
 
   test("cosineSparse handles empty vectors") {
-    assert(VectorOps.cosineSparse(Array.empty, Array((1, 1.0))) == 0.0)
+    assert(SparseVec.empty.cosine(SparseVec(1 -> 1.0)) == 0.0)
   }
 }

@@ -11,10 +11,10 @@ class QueryGenSpec extends AnyFunSuite {
     val q = QueryVector(0 -> 0.5, 1 -> 0.3, 2 -> 0.1, 3 -> 0.06, 4 -> 0.04)
     val s = QueryGen.sharpen(q, mass = 0.85)
     // 0.5 + 0.3 = 0.8 < 0.85 → also takes 0.1; stops at 0.9.
-    assert(s.entries.map(_._1).toSet == Set(0, 1, 2))
-    assert(math.abs(s.entries.map(_._2).sum - 1.0) < 1e-12)
+    assert(s.entries.idx.toSet == Set(0, 1, 2))
+    assert(math.abs(s.entries.v.sum - 1.0) < 1e-12)
     // Relative order preserved.
-    assert(s.x(0) > s.x(1) && s.x(1) > s.x(2))
+    assert(s.entries(0) > s.entries(1) && s.entries(1) > s.entries(2))
   }
 
   test("sharpen of a single-topic vector is identity") {
@@ -23,7 +23,7 @@ class QueryGenSpec extends AnyFunSuite {
   }
 
   test("sharpen of an empty vector is empty") {
-    assert(QueryGen.sharpen(QueryVector()).entries.isEmpty)
+    assert(QueryGen.sharpen(QueryVector()).d == 0)
   }
 
   test("sharpen never increases the support size") {
@@ -48,7 +48,7 @@ class QueryGenSpec extends AnyFunSuite {
   test("all query vectors are sharpened (mass-dominant support)") {
     val ws = QueryGen.workload(model, 50, 1, 100, seed = 3L)
     ws.foreach { wq =>
-      assert(math.abs(wq.vector.entries.map(_._2).sum - 1.0) < 1e-9)
+      assert(math.abs(wq.vector.entries.v.sum - 1.0) < 1e-9)
       assert(wq.vector.d >= 1 && wq.vector.d <= 5)
     }
   }

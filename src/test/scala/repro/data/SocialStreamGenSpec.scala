@@ -60,14 +60,14 @@ class SocialStreamGenSpec extends AnyFunSuite {
   }
 
   test("topic distributions are sparse (< 2 topics per element on average, per §4)") {
-    val avg = aminer.elements.map(_.topics.length).sum.toDouble / aminer.elements.size
+    val avg = aminer.elements.map(_.topics.idx.length).sum.toDouble / aminer.elements.size
     assert(avg < 2.0, s"got $avg")
     assert(avg >= 1.0)
   }
 
   test("topic distributions are normalized") {
     aminer.elements.take(200).foreach { e =>
-      assert(math.abs(e.topics.map(_._2).sum - 1.0) < 1e-9)
+      assert(math.abs(e.topics.v.sum - 1.0) < 1e-9)
       e.topics.foreach { case (_, p) => assert(p > 0) }
     }
   }
@@ -91,7 +91,7 @@ class SocialStreamGenSpec extends AnyFunSuite {
     val byId = aminer.elements.map(e => e.id -> e).toMap
     val pairs = for {
       e <- aminer.elements; r <- e.refs
-    } yield (e.topics.maxBy(_._2)._1, byId(r).topics.maxBy(_._2)._1)
+    } yield (e.topics.toSeq.maxBy(_._2)._1, byId(r).topics.toSeq.maxBy(_._2)._1)
     val same = pairs.count(p => p._1 == p._2).toDouble / pairs.size
     assert(same > 0.5, s"same-dominant-topic ratio $same")
   }
@@ -116,7 +116,7 @@ class SocialStreamGenSpec extends AnyFunSuite {
     ws.foreach { w =>
       assert(w.keywords.size >= 1 && w.keywords.size <= 5)
       assert(w.ts >= 100 && w.ts <= 1000)
-      assert(math.abs(w.vector.entries.map(_._2).sum - 1.0) < 1e-9)
+      assert(math.abs(w.vector.entries.v.sum - 1.0) < 1e-9)
       assert(w.vector.d <= 5)
     }
   }

@@ -79,7 +79,7 @@ class GibbsLdaSpec extends AnyFunSuite {
       val norm = topics.map(_._2).sum
       repro.core.Element(d.toLong, d.toLong + 1, corpus(d),
         if (d > 0 && d % 7 == 0) Array((d - 1).toLong) else Array.empty[Long],
-        topics.map { case (t, p) => (t, p / norm) }.sortBy(_._1))
+        repro.core.SparseVec(topics.map { case (t, p) => (t, p / norm) }.sortBy(_._1): _*))
     }
     val eng = new repro.core.KSirEngine(model, 100, 0.5, 5.0)
     repro.core.Bucket.bucketize(elements, 10, 61).foreach(eng.advance)

@@ -27,9 +27,9 @@ class CoverageTfIdfSpec extends AnyFunSuite {
     var den = 0.0
     engine.activeElements.foreach { ae =>
       if (!s.contains(ae.elem.id)) {
-        val rel = VectorOps.cosineSparse(ae.elem.topics, q.entries)
+        val rel = ae.elem.topics.cosine(q.entries)
         if (rel > 0) {
-          val best = sAes.map(sae => idx.cosine(idx.vectorOf(ae), idx.vectorOf(sae))).max
+          val best = sAes.map(sae => idx.vectorOf(ae).cosine(idx.vectorOf(sae))).max
           num += rel * best
           den += rel
         }
@@ -82,8 +82,8 @@ class CoverageTfIdfSpec extends AnyFunSuite {
     val s2 = ids.take(4)
     val idx = new TfIdfIndex(engine)
     val e = engine.activeElements.find(ae => !s2.contains(ae.elem.id)).get
-    val b1 = s1.flatMap(engine.activeElement).map(x => idx.cosine(idx.vectorOf(e), idx.vectorOf(x))).max
-    val b2 = s2.flatMap(engine.activeElement).map(x => idx.cosine(idx.vectorOf(e), idx.vectorOf(x))).max
+    val b1 = s1.flatMap(engine.activeElement).map(x => idx.vectorOf(e).cosine(idx.vectorOf(x))).max
+    val b2 = s2.flatMap(engine.activeElement).map(x => idx.vectorOf(e).cosine(idx.vectorOf(x))).max
     assert(b2 >= b1)
   }
 }

@@ -20,7 +20,7 @@ class EvalMetricsSpec extends SparkSpec {
 
   private lazy val activesDF = {
     import spark.implicits._
-    engine.activeElements.flatMap(ae => ae.elem.topics.map { case (t, p) => (ae.elem.id, t, p) })
+    engine.activeElements.flatMap(ae => ae.elem.topics.toSeq.map { case (t, p) => (ae.elem.id, t, p) })
       .toSeq.toDF("elem", "topic", "p").cache()
   }
 
@@ -35,7 +35,7 @@ class EvalMetricsSpec extends SparkSpec {
     import spark.implicits._
     val sDf = s.map(Tuple1(_)).toDF("sid")
     val qDf = q.entries.toSeq.toDF("topic", "x")
-    val qNorm = math.sqrt(q.entries.map(e => e._2 * e._2).sum)
+    val qNorm = math.sqrt(q.entries.v.map(x => x * x).sum)
     val df = EvalMetrics.coverageDF(spark, activesDF, s, q)
     Oracle.assertEquivalent(
       df,
