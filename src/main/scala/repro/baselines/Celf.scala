@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core._
-import scala.collection.mutable
 
 /** CELF (Leskovec et al., KDD'07): lazy greedy over all active elements.
   * (1 − 1/e)-approximate — the best ratio achievable unless P=NP — and the
@@ -13,31 +12,26 @@ object Celf {
   def query(engine: KSirEngine, q: QueryVector, k: Int): KSirResult = {
     require(k >= 1, "k must be at least 1")
     val s = new CandidateState(engine, q)
-    val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
-    var evaluated = 0
+    val heap = new GainHeap
 
     // First greedy round: evaluate f({e}, x) from scratch for every active
     // element. CELF has no index: it may NOT read the maintained ranked-list
     // scores (that is exactly the advantage MTTS/MTTD are measured against).
     engine.activeElements.foreach { ae =>
       val d = s.gain(ae)
-      evaluated += 1
-      if (d > 0.0) heap.enqueue((d, ae.elem.id))
+      if (d > 0.0) heap.enqueue(d, ae)
     }
 
     while (s.size < k && heap.nonEmpty) {
-      val (cached, id) = heap.dequeue()
-      engine.activeElement(id) match {
-        case Some(ae) =>
-          val g = s.gain(ae)
-          if (g >= cached - 1e-12 || heap.isEmpty || g >= heap.head._1) {
-            if (g > 0.0) s.add(ae)
-          } else {
-            heap.enqueue((g, id))
-          }
-        case None =>
+      val cached = heap.headGain
+      val ae = heap.dequeue()
+      val g = s.gain(ae)
+      if (g >= cached - 1e-12 || heap.isEmpty || g >= heap.headGain) {
+        if (g > 0.0) s.add(ae)
+      } else {
+        heap.enqueue(g, ae)
       }
     }
-    KSirResult(s.members, s.score, evaluated, evaluated)
+    KSirResult(s.members, s.score, engine.activeCount, engine.activeCount)
   }
 }

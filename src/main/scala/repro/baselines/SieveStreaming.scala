@@ -15,13 +15,11 @@ object SieveStreaming {
     require(epsilon > 0 && epsilon < 1, "ε must lie in (0,1)")
 
     val candidates = new ThresholdCandidates(engine, q, k, epsilon)
-    var evaluated = 0
 
     // Like CELF, SieveStreaming has no index: singleton scores are computed
     // from scratch, not read from the maintained ranked lists.
     val probe = new CandidateState(engine, q)
     engine.activeElements.foreach { ae =>
-      evaluated += 1
       candidates.raise(probe.gain(ae))
       var i = 0
       while (i < candidates.size) {
@@ -35,6 +33,6 @@ object SieveStreaming {
       }
     }
 
-    candidates.best(evaluated, evaluated)
+    candidates.best(engine.activeCount)
   }
 }

@@ -20,7 +20,7 @@ import scala.util.Random
   */
 object Sumblr {
 
-  def query(engine: KSirEngine, keywords: Seq[Int], k: Int, seed: Long = 42L): Seq[Long] = {
+  def query(engine: KSirEngine, keywords: Seq[Int], k: Int): Seq[Long] = {
     val kwSet = keywords.toSet
     val cands = engine.activeElements
       .filter(ae => ae.elem.words.exists(kwSet.contains))
@@ -31,7 +31,7 @@ object Sumblr {
 
     val z = engine.model.z
     val vecs = cands.map(_.elem.topics)
-    val rnd = new Random(seed)
+    val rnd = new Random(42L)
 
     // k-means over sparse topic vectors (dense centroids, few iterations).
     var centroids: Array[Array[Double]] =

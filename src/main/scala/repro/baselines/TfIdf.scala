@@ -13,7 +13,7 @@ final class TfIdfIndex(engine: KSirEngine) {
   val docFreq: mutable.LongMap[Int] = {
     val m = mutable.LongMap.empty[Int]
     engine.activeElements.foreach { ae =>
-      ae.elem.wordFreqs.foreach { case (w, _) => m(w.toLong) = m.getOrElse(w.toLong, 0) + 1 }
+      ae.wordIds.foreach(w => m(w.toLong) = m.getOrElse(w.toLong, 0) + 1)
     }
     m
   }
@@ -26,9 +26,9 @@ final class TfIdfIndex(engine: KSirEngine) {
     if (df == 0 || nDocs == 0) 0.0 else math.log(nDocs.toDouble / df)
   }
 
-  /** Log-normalized TF-IDF vector of (word, frequency) pairs sorted by word. */
-  def vectorize(wordFreqs: Array[(Int, Int)]): SparseVec =
-    SparseVec(wordFreqs.map { case (w, f) => (w, (1.0 + math.log(f)) * idf(w)) }.filter(_._2 > 0): _*)
+  /** Log-normalized TF-IDF vector of a word bag (see [[SparseVec.counts]]). */
+  def vectorize(bag: SparseVec): SparseVec =
+    SparseVec(bag.toSeq.map { case (w, f) => (w, (1.0 + math.log(f)) * idf(w)) }.filter(_._2 > 0): _*)
 
   private val vecCache = mutable.LongMap.empty[SparseVec]
 
@@ -36,7 +36,7 @@ final class TfIdfIndex(engine: KSirEngine) {
     vecCache.getOrElseUpdate(ae.elem.id, vectorize(ae.elem.wordFreqs))
 
   def queryVector(keywords: Seq[Int]): SparseVec =
-    vectorize(keywords.distinct.map(w => (w, keywords.count(_ == w))).toArray.sortBy(_._1))
+    vectorize(SparseVec.counts(keywords.toArray))
 }
 
 object TfIdf {

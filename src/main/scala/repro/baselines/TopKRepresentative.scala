@@ -17,7 +17,6 @@ object TopKRepresentative {
     val cursor = new RankedListCursor(engine, q)
     // Min-heap of the current best k: (δ(e,x), id).
     val top = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by[(Double, Long), Double](_._1).reverse)
-    var evaluated = 0
 
     var continue = !cursor.exhausted
     while (continue) {
@@ -27,7 +26,6 @@ object TopKRepresentative {
         val ae = cursor.popMax()
         if (ae == null) continue = false
         else {
-          evaluated += 1
           val d = engine.deltaScore(ae, q)
           if (d > 0.0) {
             top.enqueue((d, ae.elem.id))
@@ -39,6 +37,6 @@ object TopKRepresentative {
     }
 
     val ids = top.toSeq.sortBy(-_._1).map(_._2)
-    KSirResult(ids, engine.evaluate(ids, q), evaluated, cursor.retrievedCount)
+    KSirResult(ids, engine.evaluate(ids, q), cursor.retrievedCount, cursor.retrievedCount)
   }
 }

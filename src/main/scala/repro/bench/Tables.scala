@@ -99,13 +99,14 @@ object Tables {
   }
 
   /** Run the five k-SIR processing methods over a replayed workload; the
-    * first `warmup` queries are executed but not recorded (JIT warmup).
+    * first five queries are executed but not recorded (JIT warmup).
     */
-  def efficiency(ds: BenchData.Dataset, k: Int, eps: Double, nQueries: Int, warmup: Int = 5):
+  def efficiency(ds: BenchData.Dataset, k: Int, eps: Double, nQueries: Int):
       (Map[String, MethodStats], Long) = {
     val acc = EffMethods.map(_ -> new MethodStats).toMap
     var totalActive = 0L
     var i = 0
+    val warmup = 5
     val queries = BenchData.workload(ds, nQueries + warmup, seed = 701L)
     BenchData.replay(ds, queries) { (eng, wq) =>
       val record = i >= warmup

@@ -22,13 +22,8 @@ final case class Element(
     author: Long = 0L,
 ) {
 
-  /** Distinct words with frequencies γ(w,e). */
-  lazy val wordFreqs: Array[(Int, Int)] = {
-    val m = scala.collection.mutable.LongMap.empty[Int]
-    var i = 0
-    while (i < words.length) { m(words(i).toLong) = m.getOrElse(words(i).toLong, 0) + 1; i += 1 }
-    m.iterator.map { case (w, c) => (w.toInt, c) }.toArray.sortBy(_._1)
-  }
+  /** The word bag: distinct word ids in ascending order with frequencies γ(w,e). */
+  lazy val wordFreqs: SparseVec = SparseVec.counts(words)
 }
 
 /** A bucket B_t: the elements with `ts ∈ [t-L+1, t]`, delivered when the

@@ -27,14 +27,10 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
     */
   val topics: SparseVec = new SparseVec(elem.topics.idx.clone, elem.topics.v.clone)
 
-  /** Distinct word ids, shared by every row of [[sigma]]. */
-  val wordIds: Array[Int] = {
-    val freqs = elem.wordFreqs
-    val ids = new Array[Int](freqs.length)
-    var k = 0
-    while (k < ids.length) { ids(k) = freqs(k)._1; k += 1 }
-    ids
-  }
+  /** Distinct word ids, shared by every row of [[sigma]]; a copy of the bag's
+    * ids, kept next to the rest of this state like [[topics]].
+    */
+  val wordIds: Array[Int] = elem.wordFreqs.idx.clone
 
   /** σ_i(w,e): `sigma(j)(k)` for topic `topics.idx(j)` and word `wordIds(k)`. */
   val sigma: Array[Array[Double]] =
@@ -78,12 +74,6 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
 
   /** δ_i(e) for the topic in slot `j`. */
   def deltaAt(j: Int): Double = lambda * rScore(j) + (1.0 - lambda) / eta * topics.v(j) * childPSum(j)
-
-  /** σ_i(w,e) over the word ids for a topic, empty outside the support (for tests). */
-  def sigmaFor(topic: Int): SparseVec = {
-    val j = topics.indexOf(topic)
-    if (j < 0) SparseVec.empty else new SparseVec(wordIds, sigma(j))
-  }
 
   private[core] def addChild(child: Element): Unit = {
     val ids = topics.idx
@@ -136,15 +126,15 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
 object ActiveElement {
   private val NoChildP = new Array[Double](0)
 
-  /** σ_i(w,e) = −γ(w,e)·p·log p with p = p_i(w)·p_i(e), for each (word,
-    * frequency) pair of `freqs` on topic i with p_i(e) = `pe`; 0 where p = 0.
+  /** σ_i(w,e) = −γ(w,e)·p·log p with p = p_i(w)·p_i(e), for each word w of
+    * the word bag `bag` on topic i with p_i(e) = `pe`; 0 where p = 0.
     */
-  def sigmaRow(model: TopicModel, freqs: Array[(Int, Int)], topic: Int, pe: Double): Array[Double] = {
-    val row = new Array[Double](freqs.length)
+  def sigmaRow(model: TopicModel, bag: SparseVec, topic: Int, pe: Double): Array[Double] = {
+    val row = new Array[Double](bag.idx.length)
     var k = 0
     while (k < row.length) {
-      val p = model.pWord(topic, freqs(k)._1) * pe
-      row(k) = if (p > 0.0) -freqs(k)._2 * p * math.log(p) else 0.0
+      val p = model.pWord(topic, bag.idx(k)) * pe
+      row(k) = if (p > 0.0) -bag.v(k) * p * math.log(p) else 0.0
       k += 1
     }
     row

@@ -17,7 +17,6 @@ object MTTS {
     val cursor = new RankedListCursor(engine, q)
     // Candidate S_j admits e when δ(e) and Δ(e|S_j) reach τ_j = φ_j / 2k.
     val candidates = new ThresholdCandidates(engine, q, k, epsilon)
-    var evaluated = 0
 
     // TH: min τ_j over unfilled candidates; 0 before any candidate opens and
     // +∞ once every candidate is full (no element can be admitted anywhere).
@@ -36,7 +35,6 @@ object MTTS {
     while (ub >= th && !cursor.exhausted && ub > 0.0) {
       val ae = cursor.popMax()
       if (ae != null) {
-        evaluated += 1
         val deltaE = engine.deltaScore(ae, q)
         candidates.raise(deltaE)
         var i = 0
@@ -51,6 +49,6 @@ object MTTS {
       ub = cursor.upperBound
     }
 
-    candidates.best(evaluated, cursor.retrievedCount)
+    candidates.best(cursor.retrievedCount)
   }
 }

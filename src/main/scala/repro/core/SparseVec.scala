@@ -1,9 +1,10 @@
 package repro.core
 
 /** A sparse vector: the values `v(j)` at the strictly increasing indices
-  * `idx(j)`. It holds an element's topic distribution p_i(e), a query vector
-  * x (§3.1–3.2) and TF-IDF document vectors; hot loops read `idx` and `v`
-  * directly. The arrays are shared, not copied, and must not be modified.
+  * `idx(j)`. It holds an element's topic distribution p_i(e), its word bag
+  * γ(w,e), a query vector x (§3.1–3.2) and TF-IDF document vectors; hot loops
+  * read `idx` and `v` directly. The arrays are shared, not copied, and must
+  * not be modified.
   */
 final class SparseVec(val idx: Array[Int], val v: Array[Double]) {
   require(idx.length == v.length, s"${idx.length} indices but ${v.length} values")
@@ -73,4 +74,25 @@ object SparseVec {
 
   /** From (index, value) pairs, which must already be in increasing index order. */
   def apply(pairs: (Int, Double)*): SparseVec = new SparseVec(pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+
+  /** The bag of `ids`: each distinct id, in ascending order, with its
+    * multiplicity as value (γ(w,e) of Equation 3 for a document's words).
+    */
+  def counts(ids: Array[Int]): SparseVec = {
+    val sorted = ids.clone
+    java.util.Arrays.sort(sorted)
+    var d = 0
+    var i = 0
+    while (i < sorted.length) { if (i == 0 || sorted(i) != sorted(i - 1)) d += 1; i += 1 }
+    val idx = new Array[Int](d)
+    val v = new Array[Double](d)
+    var j = -1
+    i = 0
+    while (i < sorted.length) {
+      if (i == 0 || sorted(i) != sorted(i - 1)) { j += 1; idx(j) = sorted(i) }
+      v(j) += 1.0
+      i += 1
+    }
+    new SparseVec(idx, v)
+  }
 }

@@ -40,9 +40,11 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
     jLo = lo
   }
 
-  /** The highest-scoring candidate (the first in j on a tie), or the empty answer. */
-  def best(evaluated: Int, retrieved: Int): KSirResult = states.maxByOption(_.score) match {
-    case Some(s) => KSirResult(s.members, s.score, evaluated, retrieved)
-    case None    => KSirResult(Seq.empty, 0.0, evaluated, retrieved)
+  /** The highest-scoring candidate (the first in j on a tie), or the empty
+    * answer, reporting `evaluated` elements as both evaluated and retrieved.
+    */
+  def best(evaluated: Int): KSirResult = states.maxByOption(_.score) match {
+    case Some(s) => KSirResult(s.members, s.score, evaluated, evaluated)
+    case None    => KSirResult(Seq.empty, 0.0, evaluated, evaluated)
   }
 }

@@ -57,6 +57,5 @@ object QueryVector {
   def apply(pairs: (Int, Double)*): QueryVector = QueryVector(SparseVec(pairs.filter(_._2 > 0).sortBy(_._1): _*))
 
   /** Build a query vector from keywords via the topic model (§3.2). */
-  def fromKeywords(model: TopicModel, keywords: Seq[Int], maxTopics: Int = 5): QueryVector =
-    QueryVector(model.infer(keywords, maxTopics))
+  def fromKeywords(model: TopicModel, keywords: Seq[Int]): QueryVector = QueryVector(model.infer(keywords))
 }

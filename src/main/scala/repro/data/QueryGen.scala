@@ -29,7 +29,6 @@ object QueryGen {
       minTs: Long,
       maxTs: Long,
       seed: Long = 97L,
-      maxTopics: Int = 5,
       corpus: Option[Seq[Array[Int]]] = None,
   ): IndexedSeq[WorkloadQuery] = {
     require(n > 0 && maxTs >= minTs, "need a positive count and a valid time range")
@@ -59,7 +58,7 @@ object QueryGen {
     (0 until n).map { _ =>
       val nWords = 1 + rnd.nextInt(5)
       val words = Seq.fill(nWords)(drawWord())
-      val vec = sharpen(QueryVector.fromKeywords(model, words, maxTopics))
+      val vec = sharpen(QueryVector.fromKeywords(model, words))
       val ts = minTs + (if (maxTs > minTs) rnd.nextLong(maxTs - minTs + 1) else 0L)
       WorkloadQuery(words, vec, ts)
     }.filter(_.vector.d > 0)
@@ -69,13 +68,13 @@ object QueryGen {
     * inference concentrates similarly; the flat one-step posterior does not),
     * then renormalize.
     */
-  def sharpen(q: QueryVector, mass: Double = 0.85): QueryVector = {
+  def sharpen(q: QueryVector): QueryVector = {
     if (q.d == 0) return q
     val desc = q.entries.toSeq.sortBy(-_._2)
     val kept = scala.collection.mutable.ArrayBuffer.empty[(Int, Double)]
     var acc = 0.0
     desc.foreach { e =>
-      if (acc < mass) { kept += e; acc += e._2 }
+      if (acc < 0.85) { kept += e; acc += e._2 }
     }
     val norm = kept.map(_._2).sum
     QueryVector(kept.map { case (t, p) => (t, p / norm) }.sortBy(_._1).toSeq: _*)

@@ -18,9 +18,6 @@ import scala.util.Random
   * @param avgRefs     mean references per element (Poisson, capped)
   * @param spanSeconds stream duration; timestamps spread uniformly over it
   * @param refLookback how far back references may point (seconds)
-  * @param sameTopicP  probability a reference targets an element sharing the
-  *                    dominant topic (topic-correlated influence, which the
-  *                    paper's Example 2 relies on)
   */
 final case class StreamConfig(
     name: String,
@@ -31,8 +28,6 @@ final case class StreamConfig(
     avgRefs: Double,
     spanSeconds: Long,
     refLookback: Long,
-    sameTopicP: Double = 0.8,
-    maxRefs: Int = 10,
     seed: Long = 7L,
 )
 
@@ -63,17 +58,28 @@ object SocialStreamGen {
 
   final case class Generated(model: TopicModel, elements: IndexedSeq[Element], config: StreamConfig)
 
+  /** Probability that a reference targets an element sharing the dominant
+    * topic (topic-correlated influence, which the paper's Example 2 relies on).
+    */
+  private val SameTopicP = 0.8
+
+  /** Most references one element makes. */
+  private val MaxRefs = 10
+
+  /** Exponent of each topic's Zipfian word distribution. */
+  private val ZipfAlpha = 1.05
+
   /** Topic-word matrix: each topic is a Zipf distribution over its own
     * permutation of the vocabulary, so topics overlap but have distinct
     * high-probability words (as trained LDA topics do).
     */
-  def topicModel(z: Int, vocabSize: Int, seed: Long, zipfAlpha: Double = 1.05): TopicModel = {
+  def topicModel(z: Int, vocabSize: Int, seed: Long): TopicModel = {
     val rnd = new Random(seed)
     val rows = Array.tabulate(z) { _ =>
       val perm = rnd.shuffle((0 until vocabSize).toList).toArray
       val raw = new Array[Double](vocabSize)
       var r = 0
-      while (r < vocabSize) { raw(perm(r)) = 1.0 / math.pow(r + 1.0, zipfAlpha); r += 1 }
+      while (r < vocabSize) { raw(perm(r)) = 1.0 / math.pow(r + 1.0, ZipfAlpha); r += 1 }
       val norm = raw.sum
       raw.map(_ / norm)
     }
@@ -170,13 +176,13 @@ object SocialStreamGen {
       // References: mostly same-dominant-topic recent elements, preferential
       // by in-degree (trending posts attract more retweets/citations).
       val minTs = ts - config.refLookback
-      val nRefs = math.min(config.maxRefs, poisson(config.avgRefs))
+      val nRefs = math.min(MaxRefs, poisson(config.avgRefs))
       val refs = mutable.LinkedHashSet.empty[Long]
       var tries = 0
       while (refs.size < nRefs && tries < nRefs * 8) {
         tries += 1
         val pool =
-          if (rnd.nextDouble() < config.sameTopicP && recentByTopic(dominant).nonEmpty) recentByTopic(dominant)
+          if (rnd.nextDouble() < SameTopicP && recentByTopic(dominant).nonEmpty) recentByTopic(dominant)
           else recentAll
         if (pool.nonEmpty) {
           // Preferential attachment: sample two, keep the more attractive —
@@ -236,7 +242,7 @@ object SocialStreamGen {
   /** Exploded (element, word, freq) view for SQL-side scoring. */
   def wordsDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
     import spark.implicits._
-    elements.flatMap(e => e.wordFreqs.map { case (w, f) => (e.id, w, f) }).toDF("elem", "word", "freq")
+    elements.flatMap(e => e.wordFreqs.toSeq.map { case (w, f) => (e.id, w, f.toInt) }).toDF("elem", "word", "freq")
   }
 
   /** Exploded (element, topic, p) view. */

@@ -104,4 +104,57 @@ class BaselinesSpec extends AnyFunSuite {
     assert(res.size == 4)
     assert(res.distinct.size == 4)
   }
+
+  /** CELF on a boxed `PriorityQueue` of (gain, id) with an id lookup per pop,
+    * as it ran before it moved onto `GainHeap`.
+    */
+  private def boxedCelf(engine: KSirEngine, q: QueryVector, k: Int): KSirResult = {
+    val s = new CandidateState(engine, q)
+    val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
+    var evaluated = 0
+    engine.activeElements.foreach { ae =>
+      val d = s.gain(ae)
+      evaluated += 1
+      if (d > 0.0) heap.enqueue((d, ae.elem.id))
+    }
+    while (s.size < k && heap.nonEmpty) {
+      val (cached, id) = heap.dequeue()
+      val ae = engine.activeElement(id).get
+      val g = s.gain(ae)
+      if (g >= cached - 1e-12 || heap.isEmpty || g >= heap.head._1) {
+        if (g > 0.0) s.add(ae)
+      } else heap.enqueue((g, id))
+    }
+    KSirResult(s.members, s.score, evaluated, evaluated)
+  }
+
+  test("CELF equals the boxed-queue CELF in ids, order and score, with ties") {
+    def engineOf(elements: Seq[Element], model: TopicModel): KSirEngine = {
+      val e = new KSirEngine(model, 2400, 0.5, 5.0)
+      Bucket.bucketize(elements, 300, 3600).foreach(e.advance)
+      e
+    }
+    val am = SocialStreamGen.generate(StreamConfig.aminer(500, 3600, 71L))
+    val tw = SocialStreamGen.generate(StreamConfig.twitter(2000, 3600, 73L))
+    // Every element twice, the copy's references pointing at copies, so each
+    // element and its copy have equal gains until one of them is chosen.
+    val n = am.elements.length
+    val doubled = am.elements ++ am.elements.map(e => e.copy(id = e.id + n, refs = e.refs.map(_ + n)))
+    val rnd = new scala.util.Random(79)
+    Seq(("aminer", am.model, am.elements), ("twitter", tw.model, tw.elements), ("doubled", am.model, doubled)).foreach {
+      case (name, model, elements) =>
+        val eng = engineOf(elements, model)
+        (0 until 40).foreach { trial =>
+          val topics = Seq.fill(1 + rnd.nextInt(3))(rnd.nextInt(model.z)).distinct
+          val q = QueryVector(topics.map(t => t -> (0.1 + rnd.nextDouble())): _*)
+          val k = 1 + rnd.nextInt(15)
+          val got = Celf.query(eng, q, k)
+          val want = boxedCelf(eng, q, k)
+          val what = s"$name trial $trial k=$k"
+          assert(got.elements == want.elements, what)
+          assert(java.lang.Double.doubleToRawLongBits(got.score) == java.lang.Double.doubleToRawLongBits(want.score), what)
+          assert(got.evaluated == want.evaluated && got.retrieved == want.retrieved, what)
+        }
+    }
+  }
 }

@@ -25,7 +25,7 @@ class TfIdfOracleSpec extends SparkSpec {
       idx.vectorOf(ae).toSeq.map { case (w, v) => (ae.elem.id, w, v) }
     }.toSeq.toDF("elem", "word", "weight")
     val wordRows = engine.activeElements.flatMap { ae =>
-      ae.elem.wordFreqs.map { case (w, f) => (ae.elem.id, w, f) }
+      ae.elem.wordFreqs.toSeq.map { case (w, f) => (ae.elem.id, w, f.toInt) }
     }.toSeq.toDF("elem", "word", "freq")
     val n = engine.activeCount
     Oracle.assertEquivalent(
@@ -46,7 +46,7 @@ class TfIdfOracleSpec extends SparkSpec {
     val ours = idx.docFreq.toSeq.map { case (w, c) => (w.toInt, c) }
       .sortBy(_._1).toDF("word", "df")
     val wordRows = engine.activeElements.flatMap { ae =>
-      ae.elem.wordFreqs.map { case (w, _) => (ae.elem.id, w) }
+      ae.elem.wordFreqs.idx.map(w => (ae.elem.id, w))
     }.toSeq.toDF("elem", "word")
     Oracle.assertEquivalent(
       ours,

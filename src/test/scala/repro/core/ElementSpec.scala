@@ -9,16 +9,16 @@ class ElementSpec extends AnyFunSuite {
 
   test("wordFreqs counts repetitions") {
     val e = el(1, 1, Seq(3, 5, 3, 3, 5, 7))
-    assert(e.wordFreqs.toMap == Map(3 -> 3, 5 -> 2, 7 -> 1))
+    assert(e.wordFreqs.toSeq.toMap == Map(3 -> 3.0, 5 -> 2.0, 7 -> 1.0))
   }
 
   test("wordFreqs is sorted by word id") {
     val e = el(1, 1, Seq(9, 2, 5, 2))
-    assert(e.wordFreqs.map(_._1).toSeq == Seq(2, 5, 9))
+    assert(e.wordFreqs.idx.toSeq == Seq(2, 5, 9))
   }
 
   test("wordFreqs of a single word") {
-    assert(el(1, 1, Seq(4)).wordFreqs.toSeq == Seq((4, 1)))
+    assert(el(1, 1, Seq(4)).wordFreqs.toSeq == Seq((4, 1.0)))
   }
 
   test("pTopic returns the probability on a supported topic") {

@@ -308,7 +308,7 @@ class KSirEngineSpec extends AnyFunSuite {
           list.foreach { case (score, id) =>
             val e = byId(id)
             val pe = e.topics(t)
-            val r = e.wordFreqs.map { case (w, f) =>
+            val r = e.wordFreqs.toSeq.map { case (w, f) =>
               val p = g.model.pWord(t, w) * pe
               if (p > 0.0) -f * p * math.log(p) else 0.0
             }.sum

@@ -89,7 +89,7 @@ class MTTDSpec extends AnyFunSuite {
     val rnd = new scala.util.Random(3)
     val gains = Array(0.0, -0.0, 0.1, 0.2, 0.2, 0.3)
     (0 until 50).foreach { round =>
-      val heap = new MTTD.GainHeap
+      val heap = new GainHeap
       val want = scala.collection.mutable.PriorityQueue.empty[(Double, ActiveElement)](Ordering.by(_._1))
       (0 until 200).foreach { step =>
         if (want.nonEmpty && rnd.nextInt(3) == 0) {

@@ -14,6 +14,10 @@ class PaperExampleSpec extends AnyFunSuite {
   private val eng = PaperExample.engineAt(8)
   private def ae(id: Long): ActiveElement = eng.activeElement(id).get
 
+  /** σ_i(w,e) by word id, read from the element's σ row for topic i. */
+  private def sigma(e: ActiveElement, topic: Int): Map[Int, Double] =
+    e.wordIds.zip(e.sigma(e.topics.indexOf(topic))).toMap
+
   test("topic model columns sum to 1 over the vocabulary") {
     (0 until 2).foreach { i =>
       val s = (0 until PaperExample.VocabSize).map(PaperExample.model.pWord(i, _)).sum
@@ -28,11 +32,11 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("Example 1: σ_2 weights of w9, w4, w11 match the paper") {
-    val sig2 = ae(2).sigmaFor(1).toSeq.toMap
+    val sig2 = sigma(ae(2), 1)
     assert(math.abs(sig2(9) - 0.15) < 0.01)   // σ_2(w9,e2) = 0.15
     assert(math.abs(sig2(4) - 0.18) < 0.01)   // σ_2(w4,e2) = 0.18
     assert(math.abs(sig2(11) - 0.20) < 0.01)  // σ_2(w11,e2) = 0.20
-    val sig7 = ae(7).sigmaFor(1).toSeq.toMap
+    val sig7 = sigma(ae(7), 1)
     assert(math.abs(sig7(4) - 0.17) < 0.01)   // σ_2(w4,e7) = 0.17
     assert(math.abs(sig7(11) - 0.19) < 0.01)  // σ_2(w11,e7) = 0.19
     assert(sig2(4) > sig7(4) && sig2(11) > sig7(11))

@@ -2,12 +2,13 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{SocialStreamGen, StreamConfig}
+import repro.spark.StreamingRankedLists
 import scala.collection.mutable
 
 /** The scoring kernel (CandidateState over ActiveElement's flat arrays)
   * against Equations 2–4 evaluated from scratch from the elements, the topic
-  * model and the window's child sets; and a guard that a marginal gain
-  * allocates nothing.
+  * model and the window's child sets; the σ/R_i kernel against the tuple
+  * kernel it replaced; and a guard that a marginal gain allocates nothing.
   */
 class ScoringKernelSpec extends AnyFunSuite {
 
@@ -126,6 +127,60 @@ class ScoringKernelSpec extends AnyFunSuite {
       eng.advance(Bucket(eng.now + 1, Seq.empty))
       assert(parent.children.map(_.childId).toSeq == before.filterNot(_ == late.id), "only the middle child expired")
       checkSequences(eng, ingested, pool, rnd, s"seed $seed after the middle child expired", Some(parent))
+    }
+  }
+
+  /** The (word, count) pairs of the `LongMap` counter the word bag replaced. */
+  private def tupleWordFreqs(words: Array[Int]): Array[(Int, Int)] = {
+    val m = mutable.LongMap.empty[Int]
+    var i = 0
+    while (i < words.length) { m(words(i).toLong) = m.getOrElse(words(i).toLong, 0) + 1; i += 1 }
+    m.iterator.map { case (w, c) => (w.toInt, c) }.toArray.sortBy(_._1)
+  }
+
+  /** The σ row over those pairs, with the count negated as an Int. */
+  private def tupleSigmaRow(model: TopicModel, freqs: Array[(Int, Int)], topic: Int, pe: Double): Array[Double] = {
+    val row = new Array[Double](freqs.length)
+    var k = 0
+    while (k < row.length) {
+      val p = model.pWord(topic, freqs(k)._1) * pe
+      row(k) = if (p > 0.0) -freqs(k)._2 * p * math.log(p) else 0.0
+      k += 1
+    }
+    row
+  }
+
+  /** R_i(e) over a tuple σ row, left to right from the first entry. */
+  private def tupleRowSum(row: Array[Double]): Double = {
+    var s = if (row.length == 0) 0.0 else row(0)
+    var k = 1
+    while (k < row.length) { s += row(k); k += 1 }
+    s
+  }
+
+  private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+
+  test("σ rows and R_i equal the tuple kernel bit for bit on aminer- and twitter-like streams") {
+    Seq(StreamConfig.aminer(800, 3600, 41L), StreamConfig.twitter(4000, 3600, 43L)).foreach { cfg =>
+      val g = SocialStreamGen.generate(cfg)
+      var repeatedWords = 0
+      g.elements.foreach { e =>
+        val ae = new ActiveElement(e, g.model, Lambda, Eta)
+        val freqs = tupleWordFreqs(e.words)
+        val what = s"${cfg.name} e${e.id}"
+        assert(ae.wordIds.toSeq == freqs.map(_._1).toSeq, s"$what word ids")
+        assert(!(ae.wordIds eq e.wordFreqs.idx), s"$what: word ids are a copy")
+        if (freqs.exists(_._2 > 1)) repeatedWords += 1
+        assert(ae.sigma.length == ae.topics.idx.length)
+        ae.topics.idx.indices.foreach { j =>
+          val (t, pe) = (ae.topics.idx(j), ae.topics.v(j))
+          val row = tupleSigmaRow(g.model, freqs, t, pe)
+          assert(ae.sigma(j).map(bits).toSeq == row.map(bits).toSeq, s"$what σ row of topic $t")
+          assert(bits(ae.rScore(j)) == bits(tupleRowSum(row)), s"$what R_$t")
+          assert(bits(StreamingRankedLists.semantic(g.model, e, t, pe)) == bits(tupleRowSum(row)), s"$what event R_$t")
+        }
+      }
+      assert(repeatedWords > g.elements.length / 10, s"${cfg.name}: enough documents repeat a word")
     }
   }
 

@@ -39,6 +39,14 @@ class SparseVecSpec extends AnyFunSuite {
     var s = 0.0; a.foreach { case (t, p) => s += p * c(t) }; s
   }
 
+  /** The `LongMap` + `sortBy` word counter that [[SparseVec.counts]] replaced. */
+  private def countsLongMap(words: Array[Int]): Array[(Int, Int)] = {
+    val m = scala.collection.mutable.LongMap.empty[Int]
+    var i = 0
+    while (i < words.length) { m(words(i).toLong) = m.getOrElse(words(i).toLong, 0) + 1; i += 1 }
+    m.iterator.map { case (w, c) => (w.toInt, c) }.toArray.sortBy(_._1)
+  }
+
   private def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
 
   test("the constructor rejects unsorted or repeated indices and unequal lengths") {
@@ -94,5 +102,31 @@ class SparseVecSpec extends AnyFunSuite {
       if (a.map(_._1).intersect(b.map(_._1)).length >= 2) overlapping += 1
     }
     assert(overlapping > 500, "enough pairs share several indices")
+  }
+
+  test("counts gives each distinct id in ascending order with its multiplicity") {
+    assert(SparseVec.counts(Array.empty[Int]).idx.isEmpty && SparseVec.counts(Array.empty[Int]).v.isEmpty)
+    assert(SparseVec.counts(Array(7)).toSeq == Seq((7, 1.0)))
+    assert(SparseVec.counts(Array(4, 4, 4)).toSeq == Seq((4, 3.0)))
+    assert(SparseVec.counts(Array(9, 2, 5, 2, 9, 9)).toSeq == Seq((2, 2.0), (5, 1.0), (9, 3.0)))
+    assert(SparseVec.counts(Array(3, -1, 0, -7, -1)).toSeq == Seq((-7, 1.0), (-1, 2.0), (0, 1.0), (3, 1.0)))
+    val words = Array(5, 1, 5)
+    SparseVec.counts(words)
+    assert(words.toSeq == Seq(5, 1, 5), "the input is not reordered")
+  }
+
+  test("counts equals the LongMap word counter on random bags") {
+    val rnd = new scala.util.Random(17)
+    var repeated = 0
+    (0 until 5000).foreach { trial =>
+      val range = 1 + rnd.nextInt(300)
+      val bag = Array.fill(rnd.nextInt(60))(rnd.nextInt(range) - (if (rnd.nextInt(4) == 0) range / 2 else 0))
+      val want = countsLongMap(bag)
+      val got = SparseVec.counts(bag)
+      assert(got.idx.toSeq == want.map(_._1).toSeq, s"trial $trial ids")
+      assert(got.v.toSeq.map(bits) == want.map(p => bits(p._2.toDouble)).toSeq, s"trial $trial counts")
+      if (want.exists(_._2 > 1)) repeated += 1
+    }
+    assert(repeated > 1000, "enough bags repeat an id")
   }
 }

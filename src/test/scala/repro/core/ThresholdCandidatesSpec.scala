@@ -33,14 +33,14 @@ class ThresholdCandidatesSpec extends AnyFunSuite {
   test("best is the first highest-scoring candidate, or the empty answer") {
     val eng = engine
     val c = new ThresholdCandidates(eng, QueryVector(0 -> 1.0), k = 2, epsilon = 0.1)
-    assert(c.best(7, 9) == KSirResult(Seq.empty, 0.0, 7, 9))
+    assert(c.best(7) == KSirResult(Seq.empty, 0.0, 7, 7))
     c.raise(1.0)
     c.state(3).add(eng.activeElement(2).get)
     c.state(4).add(eng.activeElement(1).get)
     assert(c.state(3).score == c.state(4).score && c.state(3).score > 0.0)
-    assert(c.best(7, 9) == KSirResult(Seq(2L), c.state(3).score, 7, 9))
+    assert(c.best(7) == KSirResult(Seq(2L), c.state(3).score, 7, 7))
     c.state(6).add(eng.activeElement(1).get)
     c.state(6).add(eng.activeElement(3).get)
-    assert(c.best(7, 9).elements == Seq(1L, 3L))
+    assert(c.best(7).elements == Seq(1L, 3L))
   }
 }

@@ -9,7 +9,7 @@ class QueryGenSpec extends AnyFunSuite {
 
   test("sharpen keeps the dominant mass and renormalizes") {
     val q = QueryVector(0 -> 0.5, 1 -> 0.3, 2 -> 0.1, 3 -> 0.06, 4 -> 0.04)
-    val s = QueryGen.sharpen(q, mass = 0.85)
+    val s = QueryGen.sharpen(q)
     // 0.5 + 0.3 = 0.8 < 0.85 → also takes 0.1; stops at 0.9.
     assert(s.entries.idx.toSet == Set(0, 1, 2))
     assert(math.abs(s.entries.v.sum - 1.0) < 1e-12)
