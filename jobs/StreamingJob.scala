@@ -22,7 +22,7 @@ object StreamingJob {
     try {
       val ds = BenchData.twitter
       val buckets: Seq[Bucket] = ds.buckets.take(nBuckets)
-      val events = StreamingRankedLists.events(ds.gen.model, buckets, topN = 5).groupBy(_.bucketEnd)
+      val events = StreamingRankedLists.events(ds.gen.model, buckets).groupBy(_.bucketEnd)
 
       val input = MemoryStream[TopicEvent](spark)
       val out = StreamingRankedLists.pipeline(

@@ -22,8 +22,8 @@ final case class Element(
     author: Long = 0L,
 ) {
 
-  /** The word bag: distinct word ids in ascending order with frequencies γ(w,e). */
-  lazy val wordFreqs: SparseVec = SparseVec.counts(words)
+  /** The word bag: distinct word ids in ascending order with frequencies γ(w,e); built on every call. */
+  def wordFreqs: SparseVec = SparseVec.counts(words)
 }
 
 /** A bucket B_t: the elements with `ts ∈ [t-L+1, t]`, delivered when the

@@ -2,9 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A reference from a child element within the current window to a parent. */
-final case class ChildRef(childId: Long, childTs: Long)
-
 /** An element held in the active window together with all per-topic state the
   * ranked lists need: the static semantic score `R_i(e)`, the word weights
   * `σ_i(w,e)`, the time-varying singleton influence `I_{i,t}(e)`, and the
@@ -13,44 +10,65 @@ final case class ChildRef(childId: Long, childTs: Long)
   *
   * All per-topic state lives in flat primitive arrays indexed by the topic's
   * slot `j` in `topics` (the element's sparse topic support); see DESIGN §6c.
+  * The public constructor builds the word bag; only its ids are kept.
   */
-final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, eta: Double) {
+final class ActiveElement private (val elem: Element, bag: SparseVec, model: TopicModel, lambda: Double, eta: Double) {
+
+  def this(elem: Element, model: TopicModel, lambda: Double, eta: Double) =
+    this(elem, elem.wordFreqs, model, lambda, eta)
 
   /** Last time this element was posted or referred to (t_e in Algorithm 1). */
   var lastReferred: Long = elem.ts
-
-  /** In-window children: elements of W_t that refer to this element. */
-  val children = mutable.ArrayBuffer.empty[ChildRef]
 
   /** p_i(e), copied from `elem.topics` so that scans over A_t find it next to
     * the rest of this state in memory, not with the stream's `Element`s.
     */
   val topics: SparseVec = new SparseVec(elem.topics.idx.clone, elem.topics.v.clone)
 
-  /** Distinct word ids, shared by every row of [[sigma]]; a copy of the bag's
-    * ids, kept next to the rest of this state like [[topics]].
-    */
-  val wordIds: Array[Int] = elem.wordFreqs.idx.clone
+  /** Distinct word ids in ascending order, shared by every row of [[sigma]]. */
+  val wordIds: Array[Int] = bag.idx
 
   /** σ_i(w,e): `sigma(j)(k)` for topic `topics.idx(j)` and word `wordIds(k)`. */
-  val sigma: Array[Array[Double]] =
-    Array.tabulate(topics.idx.length)(j => ActiveElement.sigmaRow(model, elem.wordFreqs, topics.idx(j), topics.v(j)))
+  val sigma: Array[Array[Double]] = {
+    // A loop, not a closure: a closure would capture `this` and keep `bag`
+    // and `model` as fields of every element.
+    val rows = new Array[Array[Double]](topics.idx.length)
+    var j = 0
+    while (j < rows.length) { rows(j) = ActiveElement.sigmaRow(model, bag, topics.idx(j), topics.v(j)); j += 1 }
+    rows
+  }
 
   /** R_i(e): semantic score per supported topic (static). */
   val rScore: Array[Double] = sigma.map(ActiveElement.rowSum)
 
   /** δ_i(e) per supported topic as last written to the ranked lists, so an
-    * entry can be found and removed when the score changes.
+    * entry can be found and removed when the score changes; NaN while the
+    * element is not listed.
     */
-  private[core] val listedDelta: Array[Double] = new Array[Double](topics.idx.length)
+  private[core] val listedDelta: Array[Double] = Array.fill(topics.idx.length)(Double.NaN)
 
   /** Σ_{c ∈ children} p_i(c) per supported topic; I_{i,t}(e) = p_i(e)·sum. */
   private val childPSum: Array[Double] = new Array[Double](topics.idx.length)
 
-  private var childPBuf: Array[Double] = ActiveElement.NoChildP
+  // In-window children (elements of W_t that refer to this element), one row
+  // per child in arrival order: id, ts, and p_i(c) per supported topic,
+  // child-major at `childPBuf(c * topics.idx.length + j)`. The three arrays
+  // share one capacity, counted in children.
+  private var nChildren = 0
+  private var childIdBuf: Array[Long] = ActiveElement.NoLongs
+  private var childTsBuf: Array[Long] = ActiveElement.NoLongs
+  private var childPBuf: Array[Double] = ActiveElement.NoDoubles
+
+  /** Number of in-window children, and the id and ts of child `c < childCount`. */
+  def childCount: Int = nChildren
+  def childId(c: Int): Long = childIdBuf(c)
+  def childTs(c: Int): Long = childTsBuf(c)
+
+  /** Child ids, valid up to `childCount`. */
+  private[core] def childIds: Array[Long] = childIdBuf
 
   /** p_i(c) of each child c per supported topic i, child-major:
-    * `childP(c * topics.idx.length + j)`, aligned with `children`.
+    * `childP(c * topics.idx.length + j)`, valid up to `childCount` rows.
     */
   private[core] def childP: Array[Double] = childPBuf
 
@@ -78,10 +96,15 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   private[core] def addChild(child: Element): Unit = {
     val ids = topics.idx
     val stride = ids.length
-    val at = children.length * stride
-    if (at + stride > childPBuf.length)
-      childPBuf = java.util.Arrays.copyOf(childPBuf, math.max(4 * stride, 2 * childPBuf.length))
-    children += ChildRef(child.id, child.ts)
+    if (nChildren == childIdBuf.length) {
+      val capacity = math.max(4, 2 * nChildren)
+      childIdBuf = java.util.Arrays.copyOf(childIdBuf, capacity)
+      childTsBuf = java.util.Arrays.copyOf(childTsBuf, capacity)
+      childPBuf = java.util.Arrays.copyOf(childPBuf, capacity * stride)
+    }
+    childIdBuf(nChildren) = child.id
+    childTsBuf(nChildren) = child.ts
+    val at = nChildren * stride
     var j = 0
     while (j < stride) {
       val p = child.topics(ids(j))
@@ -89,19 +112,20 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
       childPSum(j) += p
       j += 1
     }
+    nChildren += 1
   }
 
   /** Drop children with ts < windowStart; returns true if any were dropped. */
   private[core] def expireChildren(windowStart: Long): Boolean = {
-    val before = children.length
+    val before = nChildren
     val stride = topics.idx.length
     var kept = 0
     var c = 0
     while (c < before) {
-      val ref = children(c)
-      if (ref.childTs >= windowStart) {
+      if (childTsBuf(c) >= windowStart) {
         if (kept != c) {
-          children(kept) = ref
+          childIdBuf(kept) = childIdBuf(c)
+          childTsBuf(kept) = childTsBuf(c)
           System.arraycopy(childPBuf, c * stride, childPBuf, kept * stride, stride)
         }
         kept += 1
@@ -109,7 +133,7 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
       c += 1
     }
     if (kept == before) return false
-    children.dropRightInPlace(before - kept)
+    nChildren = kept
     // Recompute sums from scratch to avoid float drift accumulating.
     var j = 0
     while (j < stride) {
@@ -124,7 +148,8 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
 }
 
 object ActiveElement {
-  private val NoChildP = new Array[Double](0)
+  private val NoLongs = new Array[Long](0)
+  private val NoDoubles = new Array[Double](0)
 
   /** σ_i(w,e) = −γ(w,e)·p·log p with p = p_i(w)·p_i(e), for each word w of
     * the word bag `bag` on topic i with p_i(e) = `pe`; 0 where p = 0.
@@ -209,7 +234,10 @@ final class KSirEngine(
   /** Total references received inside the window by any active element —
     * used by the influence-aware baselines and the Table 6 metric.
     */
-  def childCount(id: Long): Int = active.get(id).map(_.children.length).getOrElse(0)
+  def childCount(id: Long): Int = {
+    val ae = active.getOrNull(id)
+    if (ae == null) 0 else ae.childCount
+  }
 
   /** Ingest one bucket B_t and slide the window to `bucket.endTs`
     * (Algorithm 1, lines 3–13).
@@ -217,14 +245,20 @@ final class KSirEngine(
   def advance(bucket: Bucket): Unit = {
     require(bucket.endTs > nowTs, s"buckets must advance time: ${bucket.endTs} <= $nowTs")
     // The input contract, checked before any state changes so a rejected
-    // bucket leaves the engine as it was: topic and word ids index the model,
-    // no element refers to itself, and ids are unique over the stream (a
-    // second element under an id would replace the first in A_t).
+    // bucket leaves the engine as it was: topic masses p_i(e) lie in (0, 1]
+    // and sum to 1, topic and word ids index the model, no element refers to
+    // itself, and ids are unique over the stream (a second element under an
+    // id would replace the first in A_t).
     val ids = new Array[Long](bucket.elements.length)
     var n = 0
     bucket.elements.foreach { e =>
       val t = e.topics.idx
-      require(t.isEmpty || (t(0) >= 0 && t(t.length - 1) < model.z), s"element ${e.id}: topic id outside [0, ${model.z})")
+      val p = e.topics.v
+      var sum = 0.0
+      var m = 0
+      while (m < p.length && p(m) > 0.0 && p(m) <= 1.0) { sum += p(m); m += 1 }
+      require(m == p.length && math.abs(sum - 1.0) <= 1e-9, s"element ${e.id}: topic masses must lie in (0, 1] and sum to 1")
+      require(t(0) >= 0 && t(t.length - 1) < model.z, s"element ${e.id}: topic id outside [0, ${model.z})")
       var w = 0
       while (w < e.words.length && e.words(w) >= 0 && e.words(w) < model.vocabSize) w += 1
       require(w == e.words.length, s"element ${e.id}: word id outside [0, ${model.vocabSize})")
@@ -246,27 +280,19 @@ final class KSirEngine(
     // timestamp order (references always point strictly backwards in time,
     // so parents are inserted before their children's refs are applied).
     bucket.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
-      val ae = new ActiveElement(e, model, lambda, eta)
       archive(e.id) = e
-      active(e.id) = ae
-      insertIntoLists(ae)
+      admit(e)
       events.push(e.ts, e.id)
       e.refs.foreach { pid =>
-        val parentOpt = active.get(pid).orElse {
-          // Resurrect a discarded element the moment it is referred again:
-          // it re-enters A_t with no in-window children (any earlier child
-          // would have kept it active in the first place).
-          archive.get(pid).map { pe =>
-            val revived = new ActiveElement(pe, model, lambda, eta)
-            active(pid) = revived
-            insertIntoLists(revived)
-            revived
-          }
-        }
-        parentOpt.foreach { parent =>
+        var parent = active.getOrNull(pid)
+        // Resurrect a discarded element the moment it is referred again: it
+        // re-enters A_t with no in-window children (any earlier child would
+        // have kept it active in the first place).
+        if (parent == null && archive.contains(pid)) parent = admit(archive(pid))
+        if (parent != null) {
           parent.addChild(e)
           parent.lastReferred = math.max(parent.lastReferred, e.ts)
-          refreshLists(parent)
+          relist(parent, keep = true)
           events.push(e.ts, pid)
         }
       }
@@ -284,44 +310,36 @@ final class KSirEngine(
     while (events.nonEmpty && events.minTs < windowStart) {
       active.get(events.popId()).foreach { ae =>
         if (ae.lastReferred < windowStart) {
-          removeFromLists(ae)
+          relist(ae, keep = false)
           active.remove(ae.elem.id)
-        } else if (ae.expireChildren(windowStart)) refreshLists(ae)
+        } else if (ae.expireChildren(windowStart)) relist(ae, keep = true)
       }
     }
   }
 
-  private def insertIntoLists(ae: ActiveElement): Unit = {
-    val scores = ae.listedDelta
-    var j = 0
-    while (j < scores.length) {
-      val s = ae.deltaAt(j)
-      scores(j) = s
-      lists(ae.topics.idx(j)).add(s, ae.elem.id)
-      j += 1
-    }
+  /** Puts e into A_t, with no children, and into the ranked lists of its topics. */
+  private def admit(e: Element): ActiveElement = {
+    val ae = new ActiveElement(e, model, lambda, eta)
+    active(e.id) = ae
+    relist(ae, keep = true)
+    ae
   }
 
-  private def refreshLists(ae: ActiveElement): Unit = {
-    val scores = ae.listedDelta
+  /** Brings ae's entries in RL_i to its current δ_i(e) when `keep`, or removes
+    * them. An entry moves only when its score changed; NaN in `listedDelta`
+    * means "not listed", and a NaN never equals the stored score.
+    */
+  private def relist(ae: ActiveElement, keep: Boolean): Unit = {
+    val listed = ae.listedDelta
     var j = 0
-    while (j < scores.length) {
-      val list = lists(ae.topics.idx(j))
-      val s = ae.deltaAt(j)
-      if (s != scores(j)) {
-        list.remove(scores(j), ae.elem.id)
-        list.add(s, ae.elem.id)
-        scores(j) = s
+    while (j < listed.length) {
+      val s = if (keep) ae.deltaAt(j) else Double.NaN
+      if (s != listed(j)) {
+        val list = lists(ae.topics.idx(j))
+        if (!java.lang.Double.isNaN(listed(j))) list.remove(listed(j), ae.elem.id)
+        if (keep) list.add(s, ae.elem.id)
+        listed(j) = s
       }
-      j += 1
-    }
-  }
-
-  private def removeFromLists(ae: ActiveElement): Unit = {
-    val scores = ae.listedDelta
-    var j = 0
-    while (j < scores.length) {
-      lists(ae.topics.idx(j)).remove(scores(j), ae.elem.id)
       j += 1
     }
   }

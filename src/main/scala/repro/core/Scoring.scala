@@ -51,7 +51,8 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
     val words = ae.wordIds
     val childP = ae.childP
     val stride = topics.idx.length
-    val children = ae.children
+    val childIds = ae.childIds
+    val nChildren = ae.childCount
     var total = 0.0
     var qi = 0
     while (qi < qTopic.length) {
@@ -74,10 +75,10 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
         val prods = prodComp(qi)
         var dI = 0.0
         var c = 0
-        while (c < children.length) {
+        while (c < nChildren) {
           val pc = childP(c * stride + j)
           if (pc > 0.0) {
-            val id = children(c).childId
+            val id = childIds(c)
             val prod = prods.getOrElse(id, 1.0)
             if (commit) {
               val p = pe * pc

@@ -34,26 +34,13 @@ object QueryGen {
     require(n > 0 && maxTs >= minTs, "need a positive count and a valid time range")
     val rnd = new Random(seed)
     // Cumulative distributions for per-topic word draws (no-corpus mode).
-    val cdfs = model.topicWord.map { row =>
-      val c = new Array[Double](row.length)
-      var acc = 0.0
-      var i = 0
-      while (i < row.length) { acc += row(i); c(i) = acc; i += 1 }
-      c
-    }
+    val cdfs = model.topicWord.map(SocialStreamGen.cumulative)
     val corpusWords: Array[Int] = corpus.map(_.flatten.toArray).getOrElse(Array.empty)
     def drawWord(): Int =
       if (corpusWords.nonEmpty) corpusWords(rnd.nextInt(corpusWords.length))
       else {
         val t = rnd.nextInt(model.z)
-        val u = rnd.nextDouble()
-        var lo = 0
-        var hi = cdfs(t).length - 1
-        while (lo < hi) {
-          val mid = (lo + hi) >>> 1
-          if (cdfs(t)(mid) < u) lo = mid + 1 else hi = mid
-        }
-        lo
+        SocialStreamGen.search(cdfs(t), rnd.nextDouble())
       }
     (0 until n).map { _ =>
       val nWords = 1 + rnd.nextInt(5)

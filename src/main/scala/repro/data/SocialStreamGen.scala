@@ -90,13 +90,7 @@ object SocialStreamGen {
     val rnd = new Random(config.seed)
     val model = topicModel(config.z, config.vocabSize, config.seed * 31 + 1)
     // Per-topic cumulative distributions for word sampling.
-    val cdfs = model.topicWord.map { row =>
-      val c = new Array[Double](row.length)
-      var acc = 0.0
-      var i = 0
-      while (i < row.length) { acc += row(i); c(i) = acc; i += 1 }
-      c
-    }
+    val cdfs = model.topicWord.map(cumulative)
 
     // Topic popularity is itself mildly Zipfian: some topics trend, but (as
     // in the paper's corpora) every sizable topic has its own viral
@@ -106,11 +100,7 @@ object SocialStreamGen {
     val topicCdf = {
       val raw = Array.tabulate(config.z)(r => 1.0 / math.pow(r + 1.0, 0.45))
       val norm = raw.sum
-      val c = new Array[Double](config.z)
-      var acc = 0.0
-      var i = 0
-      while (i < config.z) { acc += raw(i) / norm; c(i) = acc; i += 1 }
-      c
+      cumulative(raw.map(_ / norm))
     }
     def drawTopic(): Int = topicRank(search(topicCdf, rnd.nextDouble()))
 
@@ -135,11 +125,7 @@ object SocialStreamGen {
     val authorCdf = {
       val raw = Array.tabulate(nAuthors)(r => 1.0 / (r + 1.0))
       val norm = raw.sum
-      val c = new Array[Double](nAuthors)
-      var acc = 0.0
-      var i = 0
-      while (i < nAuthors) { acc += raw(i) / norm; c(i) = acc; i += 1 }
-      c
+      cumulative(raw.map(_ / norm))
     }
 
     val authorPosts = new Array[Int](nAuthors)
@@ -161,13 +147,7 @@ object SocialStreamGen {
 
       // Words drawn from the element's topic mixture.
       val len = math.max(1, poisson(config.avgLen))
-      val topicsCdf = {
-        val c = new Array[Double](topics.v.length)
-        var acc = 0.0
-        var i = 0
-        while (i < c.length) { acc += topics.v(i); c(i) = acc; i += 1 }
-        c
-      }
+      val topicsCdf = cumulative(topics.v)
       val words = Array.fill(len) {
         val t = topics.idx(search(topicsCdf, rnd.nextDouble()))
         search(cdfs(t), rnd.nextDouble())
@@ -220,8 +200,19 @@ object SocialStreamGen {
     pool.clear(); pool ++= kept
   }
 
-  /** First index whose cumulative value exceeds u (binary search). */
-  private def search(cdf: Array[Double], u: Double): Int = {
+  /** Running sums of `p`, added left to right: the cumulative distribution
+    * that [[search]] samples from.
+    */
+  private[data] def cumulative(p: Array[Double]): Array[Double] = {
+    val c = new Array[Double](p.length)
+    var acc = 0.0
+    var i = 0
+    while (i < p.length) { acc += p(i); c(i) = acc; i += 1 }
+    c
+  }
+
+  /** First index whose cumulative value is at least u (binary search). */
+  private[data] def search(cdf: Array[Double], u: Double): Int = {
     var lo = 0
     var hi = cdf.length - 1
     while (lo < hi) {

@@ -98,7 +98,7 @@ object EvalMetrics {
   /** Influence metric: referrers(S) / referrers(top-k most-referred set). */
   def influence(engine: KSirEngine, s: Seq[Long], k: Int): Double = {
     val topK = engine.activeElements.toSeq
-      .sortBy(ae => (-ae.children.length, ae.elem.id))
+      .sortBy(ae => (-ae.childCount, ae.elem.id))
       .take(k)
       .map(_.elem.id)
       .toSet

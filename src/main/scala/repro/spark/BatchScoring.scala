@@ -4,9 +4,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** DataFrame formulations of the paper's per-element scores, used by the
-  * batch pipeline that feeds the ranked lists and oracle-checked against
-  * DuckDB in the tests (an independent SQL derivation of the same math).
+/** DataFrame formulations of the paper's per-element scores: a relational
+  * rendering of the same math, checked in the tests against an independent
+  * DuckDB SQL derivation and against [[repro.core.KSirEngine]]'s R_i(e) and
+  * I_{i,t}(e).
   *
   * Inputs are the exploded relational views produced by
   * [[repro.data.SocialStreamGen]]:

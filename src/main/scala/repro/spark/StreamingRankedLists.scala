@@ -64,11 +64,7 @@ object StreamingRankedLists {
     * (the generator knows every element's scores); the system under test is
     * the stateful operator in [[pipeline]].
     */
-  def events(
-      model: TopicModel,
-      buckets: Seq[Bucket],
-      topN: Int,
-  ): Seq[TopicEvent] = {
+  def events(model: TopicModel, buckets: Seq[Bucket]): Seq[TopicEvent] = {
     val elemOf = scala.collection.mutable.LongMap.empty[Element]
     buckets.flatMap { b =>
       val ticks = (0 until model.z).map(t => TopicEvent(t, 2, 0L, b.endTs, b.endTs, 0, 0, 0L, 0))

@@ -43,7 +43,7 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(eng.activeElement(1).isEmpty)
     eng.advance(Bucket(7, Seq(el(2, 7, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
     assert(eng.activeElement(1).isDefined, "resurrected by the new reference")
-    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(2L))
+    assert(Children.ids(eng.activeElement(1).get) == Seq(2L))
   }
 
   test("children drop out of the influence score as the window slides") {
@@ -152,7 +152,7 @@ class KSirEngineSpec extends AnyFunSuite {
       el(4, 2, Seq(2), Seq(1 -> 1.0)),
     )))
     assert(eng.activeElement(2).isEmpty && eng.activeElement(4).isEmpty, "late elements expire at once")
-    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L), "the late child is dropped")
+    assert(Children.ids(eng.activeElement(1).get) == Seq(3L), "the late child is dropped")
     assert(eng.activeElement(1).get.influence(0) == 1.0)
     assert(eng.rankedList(0).map(_._2).toSet == Set(1L, 3L))
     assert(eng.rankedListSize(1) == 0)
@@ -177,7 +177,7 @@ class KSirEngineSpec extends AnyFunSuite {
     // Fresh ids are still taken, and a reference still resurrects e1.
     eng.advance(Bucket(7, Seq(el(3, 7, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
     assert(eng.rankedList(0).map(_._2).toSet == Set(1L, 3L))
-    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L))
+    assert(Children.ids(eng.activeElement(1).get) == Seq(3L))
   }
 
   test("a topic or word id outside the model is rejected and leaves the engine unchanged") {
@@ -186,25 +186,33 @@ class KSirEngineSpec extends AnyFunSuite {
     def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.rankedList(1).toSeq)
     val before = state
     // The model has z = 2 topics and 4 words; the bad element comes second,
-    // after a valid one that would otherwise be in A_t already.
+    // after a valid one that would otherwise be in A_t already. Topic masses
+    // must lie in (0, 1] and sum to 1.
     val bad = Seq(
       el(3, 2, Seq(0), Seq(2 -> 1.0)),
       el(3, 2, Seq(0), Seq(-1 -> 1.0)),
       el(3, 2, Seq(0, 4), Seq(0 -> 1.0)),
       el(3, 2, Seq(-1), Seq(1 -> 1.0)),
+      el(3, 2, Seq(0), Seq(0 -> 0.0, 1 -> 1.0)),
+      el(3, 2, Seq(0), Seq(0 -> -0.5, 1 -> 1.5)),
+      el(3, 2, Seq(0), Seq(0 -> Double.NaN)),
+      el(3, 2, Seq(0), Seq(0 -> Double.PositiveInfinity)),
+      el(3, 2, Seq(0), Seq(0 -> 0.5, 1 -> 0.4)),
+      el(3, 2, Seq(0), Seq(0 -> 1.0, 1 -> 1e-6)),
+      el(3, 2, Seq(0), Seq.empty),
     )
     bad.foreach { e =>
       intercept[IllegalArgumentException](eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), e))))
       assert(state == before, e)
     }
     eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
-    assert(eng.activeCount == 2 && eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(2L))
+    assert(eng.activeCount == 2 && Children.ids(eng.activeElement(1).get) == Seq(2L))
   }
 
   test("an element referring to itself is rejected and leaves the engine unchanged") {
     val eng = mk()
     eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
-    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.activeElement(1).get.children.length)
+    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.activeElement(1).get.childCount)
     val before = state
     intercept[IllegalArgumentException](
       eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), el(3, 2, Seq(0), Seq(0 -> 1.0), refs = Seq(1, 3))))))
@@ -232,7 +240,7 @@ class KSirEngineSpec extends AnyFunSuite {
     eng.advance(Bucket(5, Seq.empty)) // window [2,5]: e1's own ts left, both refs in
     assert(eng.childCount(1) == 2)
     eng.advance(Bucket(6, Seq.empty)) // window [3,6]: first reference left
-    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(3L))
+    assert(Children.ids(eng.activeElement(1).get) == Seq(3L))
     assert(eng.rankedList(0).toSeq.contains((eng.activeElement(1).get.delta(0), 1L)))
     eng.advance(Bucket(7, Seq.empty)) // window [4,7]: last reference left
     assert(eng.activeElement(1).isEmpty)
@@ -251,7 +259,7 @@ class KSirEngineSpec extends AnyFunSuite {
       el(4, 10, Seq(1), Seq(0 -> 1.0), refs = Seq(1)),
     )))
     val ae = eng.activeElement(1).get
-    assert(ae.children.map(_.childId).toSeq == Seq(4L), "only the in-window child counts")
+    assert(Children.ids(ae) == Seq(4L), "only the in-window child counts")
     assert(ae.influence(0) == 1.0)
     assert(eng.rankedList(0).toSeq.contains((ae.delta(0), 1L)))
     eng.advance(Bucket(13, Seq.empty))
@@ -299,7 +307,7 @@ class KSirEngineSpec extends AnyFunSuite {
         val byId = seen.map(e => e.id -> e).toMap
         expected.foreach { id =>
           val kids = children.getOrElse(id, Vector.empty)
-          assert(eng.activeElement(id).get.children.map(_.childId).toSeq == kids.map(_.id), s"children of e$id")
+          assert(Children.of(eng.activeElement(id).get) == kids.map(c => (c.id, c.ts)), s"children of e$id")
         }
         (0 until 6).foreach { t =>
           val list = eng.rankedList(t).toSeq

@@ -66,13 +66,13 @@ class PaperExampleSpec extends AnyFunSuite {
   }
 
   test("Example 2: e4's reference to e3 has expired from the window at t=8") {
-    assert(!ae(3).children.exists(_.childId == 4L))
-    assert(ae(3).children.map(_.childId).toSet == Set(6L, 8L))
+    assert(!Children.ids(ae(3)).contains(4L))
+    assert(Children.ids(ae(3)).toSet == Set(6L, 8L))
   }
 
   test("windowed children at t=8: e1←{e5}, e2←{e7,e8}") {
-    assert(ae(1).children.map(_.childId).toSet == Set(5L))
-    assert(ae(2).children.map(_.childId).toSet == Set(7L, 8L))
+    assert(Children.ids(ae(1)).toSet == Set(5L))
+    assert(Children.ids(ae(2)).toSet == Set(7L, 8L))
   }
 
   test("Example 3: OPT for q_8(2, (0.5,0.5)) is {e1,e3} with f = 0.65") {

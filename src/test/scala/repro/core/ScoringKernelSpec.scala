@@ -8,7 +8,8 @@ import scala.collection.mutable
 /** The scoring kernel (CandidateState over ActiveElement's flat arrays)
   * against Equations 2–4 evaluated from scratch from the elements, the topic
   * model and the window's child sets; the σ/R_i kernel against the tuple
-  * kernel it replaced; and a guard that a marginal gain allocates nothing.
+  * kernel it replaced; guards that a marginal gain and a child reference
+  * allocate nothing; and a guard on what an ActiveElement keeps alive.
   */
 class ScoringKernelSpec extends AnyFunSuite {
 
@@ -71,7 +72,7 @@ class ScoringKernelSpec extends AnyFunSuite {
         s :+= ae.elem
         fs = fse
         assert(math.abs(cs.score - fs) < 1e-9, s"$what: f(${s.map(_.id)})")
-        if (ae.children.nonEmpty && q.entries.idx.exists(i => ae.influence(i) > 0.0)) withInfluence += 1
+        if (ae.childCount > 0 && q.entries.idx.exists(i => ae.influence(i) > 0.0)) withInfluence += 1
         val (size, score) = (cs.size, cs.score)
         cs.add(ae)
         assert(cs.size == size && cs.score == score, s"$what: re-adding e${ae.elem.id}")
@@ -98,7 +99,7 @@ class ScoringKernelSpec extends AnyFunSuite {
         dropped = ingested.map(_.id).toSet -- active
         if (bi % 4 == 3) {
           val pool = eng.activeElements.toSeq.sortBy(_.elem.id)
-          val parents = pool.filter(_.children.length >= 2)
+          val parents = pool.filter(_.childCount >= 2)
           withInfluence += checkSequences(eng, ingested, parents ++ rnd.shuffle(pool).take(10), rnd, s"seed $seed t=${b.endTs}")
         }
       }
@@ -109,7 +110,7 @@ class ScoringKernelSpec extends AnyFunSuite {
       // them and a new one: the next advance expires the middle child only.
       val ws = eng.now - Window + 1
       val parent = eng.activeElements.toSeq.sortBy(_.elem.id)
-        .find(ae => ae.children.nonEmpty && ae.children.forall(_.childTs >= ws + 2))
+        .find(ae => ae.childCount > 0 && Children.of(ae).forall(_._2 >= ws + 2))
         .getOrElse(fail(s"seed $seed: no parent with young children"))
       // Two children on the parent's topics with different distributions, so
       // the late child's p_i(c) cannot stand in for the young one's.
@@ -120,12 +121,12 @@ class ScoringKernelSpec extends AnyFunSuite {
       val young = donor2.copy(id = nextId + 1, ts = eng.now + 1, refs = Array(parent.elem.id))
       eng.advance(Bucket(eng.now + 1, Seq(young, late)))
       ingested ++= Seq(late, young)
-      val before = parent.children.map(_.childId).toSeq
+      val before = Children.ids(parent)
       assert(before.takeRight(2) == Seq(late.id, young.id) && before.length >= 3)
       def pool = eng.activeElements.toSeq.sortBy(_.elem.id)
       checkSequences(eng, ingested, pool, rnd, s"seed $seed with the late child", Some(parent))
       eng.advance(Bucket(eng.now + 1, Seq.empty))
-      assert(parent.children.map(_.childId).toSeq == before.filterNot(_ == late.id), "only the middle child expired")
+      assert(Children.ids(parent) == before.filterNot(_ == late.id), "only the middle child expired")
       checkSequences(eng, ingested, pool, rnd, s"seed $seed after the middle child expired", Some(parent))
     }
   }
@@ -188,7 +189,7 @@ class ScoringKernelSpec extends AnyFunSuite {
     val g = SocialStreamGen.generate(StreamConfig.aminer(1500, 3600, 31L))
     val eng = new KSirEngine(g.model, 1800L, Lambda, Eta)
     Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
-    val parents = eng.activeElements.filter(_.children.length >= 2).toSeq.sortBy(_.elem.id)
+    val parents = eng.activeElements.filter(_.childCount >= 2).toSeq.sortBy(_.elem.id)
     val topics = parents.map(_.elem.topics.idx.head).distinct
     val q = QueryVector(topics(0) -> 0.6, topics(1) -> 0.4)
     val onQuery = eng.activeElements.filter(ae => q.entries.idx.exists(i => ae.elem.topics(i) > 0.0)).toArray.sortBy(_.elem.id)
@@ -197,7 +198,7 @@ class ScoringKernelSpec extends AnyFunSuite {
     onQuery.take(k).foreach(cs.add)
     assert(cs.size == k)
     val probes = onQuery.drop(k)
-    assert(probes.count(_.children.nonEmpty) >= 10, "probes exercise the influence loop")
+    assert(probes.count(_.childCount > 0) >= 10, "probes exercise the influence loop")
     val calls = 10000
     def run(): Double = {
       var sum = 0.0
@@ -206,13 +207,53 @@ class ScoringKernelSpec extends AnyFunSuite {
       sum
     }
     (0 until 5).foreach(_ => run())
+    var sum = 0.0
+    val bytes = allocated { sum = run() }
+    assert(sum > 0.0)
+    val perCall = bytes.toDouble / calls
+    assert(perCall < 8.0, s"gain allocated $perCall bytes per call")
+  }
+
+  test("a reference into a warmed parent with spare child capacity allocates nothing") {
+    val g = SocialStreamGen.generate(StreamConfig.aminer(50, 3600, 33L))
+    val parent = new ActiveElement(g.elements(0), g.model, Lambda, Eta)
+    // One child stays in the window; the other is added and expired again.
+    parent.addChild(g.elements(1).copy(ts = 1000L))
+    val child = g.elements(2).copy(ts = 10L)
+    val calls = 10000
+    def run(): Int = {
+      var dropped = 0
+      var i = 0
+      while (i < calls) {
+        parent.addChild(child)
+        if (parent.expireChildren(11L)) dropped += 1
+        i += 1
+      }
+      dropped
+    }
+    (0 until 5).foreach(_ => run())
+    var dropped = 0
+    val perCall = allocated { dropped = run() }.toDouble / calls
+    assert(dropped == calls)
+    assert(perCall < 8.0, s"a child reference allocated $perCall bytes")
+    assert(Children.of(parent) == Seq((1L, 1000L)))
+  }
+
+  test("ActiveElement keeps no collection, topic model or word bag as a field") {
+    val held = classOf[ActiveElement].getDeclaredFields.toSeq.filter { f =>
+      val t = f.getType
+      t.getName.startsWith("scala.collection.") || t == classOf[TopicModel] ||
+        (t == classOf[SparseVec] && f.getName != "topics")
+    }
+    assert(held.isEmpty, held.map(f => s"${f.getName}: ${f.getType.getName}").mkString(", "))
+  }
+
+  /** Bytes the current thread allocates while running `body`. */
+  private def allocated(body: => Unit): Long = {
     val bean = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     val tid = Thread.currentThread().getId
     val a0 = bean.getThreadAllocatedBytes(tid)
-    val sum = run()
-    val a1 = bean.getThreadAllocatedBytes(tid)
-    assert(sum > 0.0)
-    val perCall = (a1 - a0).toDouble / calls
-    assert(perCall < 8.0, s"gain allocated $perCall bytes per call")
+    body
+    bean.getThreadAllocatedBytes(tid) - a0
   }
 }

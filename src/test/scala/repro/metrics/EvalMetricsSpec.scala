@@ -95,13 +95,13 @@ class EvalMetricsSpec extends SparkSpec {
 
   test("influence is 1.0 for the top-k most-referred set itself") {
     val topK = engine.activeElements.toSeq
-      .sortBy(ae => (-ae.children.length, ae.elem.id)).take(5).map(_.elem.id)
+      .sortBy(ae => (-ae.childCount, ae.elem.id)).take(5).map(_.elem.id)
     val v = EvalMetrics.influence(engine, topK, 5)
     assert(math.abs(v - 1.0) < 1e-12)
   }
 
   test("influence is in [0, ~1] and 0 for an un-referred set") {
-    val unreferred = engine.activeElements.filter(_.children.isEmpty).map(_.elem.id).take(5).toSeq
+    val unreferred = engine.activeElements.filter(_.childCount == 0).map(_.elem.id).take(5).toSeq
     if (unreferred.nonEmpty) assert(EvalMetrics.influence(engine, unreferred, 5) == 0.0)
     val v = EvalMetrics.influence(engine, s, 5)
     assert(v >= 0.0)

@@ -27,7 +27,7 @@ class StreamingRankedListsSpec extends SparkSpec {
   ): Unit = {
     import spark.implicits._
     val buckets = Bucket.bucketize(elements, bucketLen, endTs)
-    val allEvents = StreamingRankedLists.events(model, buckets, TopN).groupBy(_.bucketEnd)
+    val allEvents = StreamingRankedLists.events(model, buckets).groupBy(_.bucketEnd)
     val engine = new KSirEngine(model, window, lambda, eta)
 
     val input = MemoryStream[TopicEvent](spark)
@@ -81,7 +81,7 @@ class StreamingRankedListsSpec extends SparkSpec {
 
   test("event builder routes ref events to the parent's topics") {
     val buckets = Bucket.bucketize(PaperExample.elements, 1, 8)
-    val events = StreamingRankedLists.events(PaperExample.model, buckets, TopN)
+    val events = StreamingRankedLists.events(PaperExample.model, buckets)
     // e4 refs e3; e3 has support on both topics, so two ref events exist.
     val e4refs = events.filter(e => e.kind == 1 && e.id == 4L)
     assert(e4refs.map(_.topic).toSet == Set(0, 1))
@@ -93,7 +93,7 @@ class StreamingRankedListsSpec extends SparkSpec {
 
   test("event builder emits one insert per supported topic") {
     val buckets = Bucket.bucketize(PaperExample.elements, 1, 8)
-    val events = StreamingRankedLists.events(PaperExample.model, buckets, TopN)
+    val events = StreamingRankedLists.events(PaperExample.model, buckets)
     val inserts = events.filter(_.kind == 0)
     assert(inserts.count(_.id == 4L) == 1) // e4 is θ1-only
     assert(inserts.count(_.id == 1L) == 2)
@@ -101,7 +101,7 @@ class StreamingRankedListsSpec extends SparkSpec {
 
   test("ticks are emitted for every topic in every bucket") {
     val buckets = Bucket.bucketize(PaperExample.elements, 2, 8)
-    val events = StreamingRankedLists.events(PaperExample.model, buckets, TopN)
+    val events = StreamingRankedLists.events(PaperExample.model, buckets)
     val ticks = events.filter(_.kind == 2)
     assert(ticks.size == buckets.size * PaperExample.model.z)
   }
