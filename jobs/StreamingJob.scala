@@ -9,7 +9,8 @@ import repro.spark.{StreamingRankedLists, TopicEvent}
 /** spark-submit entrypoint running the Structured Streaming ranked-list
   * pipeline (the distributed rendering of Algorithm 1) over a synthetic
   * stream, one micro-batch per 15-minute bucket, printing the top of a few
-  * topics' ranked lists as the window slides.
+  * topics' ranked lists as the window slides, and after each micro-batch
+  * the state operator's row count, state-store memory and update time.
   *
   * Usage: spark-submit --class repro.jobs.StreamingJob repro.jar [nBuckets]
   */
@@ -41,6 +42,9 @@ object StreamingJob {
           .collect()
         println(s"--- bucket t=${b.endTs} (${b.elements.size} arrivals) ---")
         top.foreach(r => println(f"  topic ${r.getInt(0)}%2d  #${r.getInt(2)}  e${r.getLong(3)}%-6d δ=${r.getDouble(4)}%.4f"))
+        val p = query.lastProgress
+        p.stateOperators.foreach(s => println(s"  state: ${s.numRowsTotal} rows, ${s.memoryUsedBytes} B, " +
+          s"${s.allUpdatesTimeMs} ms updating; trigger ${p.durationMs.get("triggerExecution")} ms"))
       }
       query.stop()
     } finally spark.stop()

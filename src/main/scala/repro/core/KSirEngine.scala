@@ -91,7 +91,7 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
   }
 
   /** δ_i(e) for the topic in slot `j`. */
-  def deltaAt(j: Int): Double = lambda * rScore(j) + (1.0 - lambda) / eta * topics.v(j) * childPSum(j)
+  def deltaAt(j: Int): Double = ActiveElement.delta(lambda, eta, rScore(j), topics.v(j), childPSum(j))
 
   private[core] def addChild(child: Element): Unit = {
     val ids = topics.idx
@@ -164,6 +164,12 @@ object ActiveElement {
     }
     row
   }
+
+  /** δ_i(e) = λ·R_i(e) + (1−λ)/η·p_i(e)·Σ_c p_i(c), left to right: the one δ
+    * expression, shared by the engine's lists and the streaming operator's.
+    */
+  def delta(lambda: Double, eta: Double, r: Double, p: Double, childPSum: Double): Double =
+    lambda * r + (1.0 - lambda) / eta * p * childPSum
 
   /** R_i(e) = Σ_w σ_i(w,e) over a [[sigmaRow]], summed left to right from the
     * first entry, as `Array[Double].sum` does.

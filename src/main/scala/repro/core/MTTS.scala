@@ -34,16 +34,14 @@ object MTTS {
     var th = 0.0
     while (ub >= th && !cursor.exhausted && ub > 0.0) {
       val ae = cursor.popMax()
-      if (ae != null) {
-        val deltaE = engine.deltaScore(ae, q)
-        candidates.raise(deltaE)
-        var i = 0
-        while (i < candidates.size) {
-          val tau = candidates.tau(i)
-          val s = candidates.state(i)
-          if (deltaE >= tau && s.size < k && s.gain(ae) >= tau) s.add(ae)
-          i += 1
-        }
+      val deltaE = engine.deltaScore(ae, q)
+      candidates.raise(deltaE)
+      var i = 0
+      while (i < candidates.size) {
+        val tau = candidates.tau(i)
+        val s = candidates.state(i)
+        if (deltaE >= tau && s.size < k && s.gain(ae) >= tau) s.add(ae)
+        i += 1
       }
       th = threshold
       ub = cursor.upperBound

@@ -2,61 +2,34 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{ActiveElement, Bucket, Element, TopicModel}
+import repro.core.{ActiveElement, Bucket, Element, RankedList, TopicModel}
 
-/** Event delivered to the per-topic stateful operator. Three kinds:
-  *  - `kind = 0` (insert): element `id` with semantic score `rScore` and
-  *    topic probability `pe` enters topic `topic`'s list (Alg. 1 l. 4–7);
-  *  - `kind = 1` (ref): element `id` (the child, with probability `pChild`
-  *    on this topic) refers to `parentId` — the parent's influence score and
-  *    last-referred time are updated (Alg. 1 l. 8–11). Ref events are routed
-  *    to every topic of the *parent's* support so expiry stays
-  *    topic-independent, matching the driver engine;
-  *  - `kind = 2` (tick): bucket boundary, forcing expiry even on topics with
-  *    no arrivals this bucket (Alg. 1 l. 12–13).
+/** Event delivered to the per-topic stateful operator: a partial entry of
+  * topic `topic`'s list, or `None`, a tick forcing expiry on topics with no
+  * arrivals (Alg. 1 l. 12–13). An insert (l. 4–7) is the element's own entry
+  * with no children; a reference c→p (l. 8–11) is p's insert entry with
+  * `lastRef = max(p.ts, c.ts)` and the one child c, routed to every topic of
+  * p's support, so a discarded parent is resurrected by the rule that inserts it.
   */
-final case class TopicEvent(
-    topic: Int,
-    kind: Int,
-    id: Long,
-    ts: Long,
-    bucketEnd: Long,
-    rScore: Double,
-    pe: Double,
-    parentId: Long,
-    pChild: Double,
-    // Parent snapshot on ref events, so a parent discarded from the state
-    // can be resurrected when re-referred (same semantics as KSirEngine).
-    parentTs: Long = 0L,
-    parentR: Double = 0.0,
-    parentP: Double = 0.0,
-)
+final case class TopicEvent(topic: Int, bucketEnd: Long, elem: Option[StatefulElem])
 
 final case class ChildEntry(childId: Long, childTs: Long, pChild: Double)
 
-final case class StatefulElem(
-    id: Long,
-    ts: Long,
-    lastRef: Long,
-    rScore: Double,
-    pe: Double,
-    children: List[ChildEntry],
-)
+/** One list entry: R_i(e) = `rScore`, p_i(e) = `pe`, children in arrival order. */
+final case class StatefulElem(id: Long, ts: Long, lastRef: Long, rScore: Double, pe: Double, children: List[ChildEntry])
 
 final case class TopicListState(elems: Map[Long, StatefulElem])
 
 /** One emitted ranked-list entry: topic i's list as of `bucketEnd`, in rank
-  * order (δ_i descending, id descending — the same total order the driver
-  * engine uses).
+  * order ([[repro.core.RankedList]]'s: δ_i descending, then id descending).
   */
 final case class RankedEntry(topic: Int, bucketEnd: Long, rank: Int, elem: Long, delta: Double)
 
 /** Structured-Streaming rendering of Algorithm 1: per-topic ranked lists
   * maintained by a stateful operator (`flatMapGroupsWithState`, update mode),
-  * one group per topic, one micro-batch per stream bucket. The k-SIR query
-  * processor consumes these lists; the driver engine
-  * ([[repro.core.KSirEngine]]) is the single-node reference the streaming
-  * state is tested against.
+  * one group per topic, one micro-batch per stream bucket. The window upkeep
+  * is its own; δ_i and the list order are [[repro.core.KSirEngine]]'s, so its
+  * lists equal the engine's bit for bit.
   */
 object StreamingRankedLists {
 
@@ -65,22 +38,19 @@ object StreamingRankedLists {
     * the stateful operator in [[pipeline]].
     */
   def events(model: TopicModel, buckets: Seq[Bucket]): Seq[TopicEvent] = {
-    val elemOf = scala.collection.mutable.LongMap.empty[Element]
+    val insertsOf = scala.collection.mutable.LongMap.empty[Seq[TopicEvent]]
     buckets.flatMap { b =>
-      val ticks = (0 until model.z).map(t => TopicEvent(t, 2, 0L, b.endTs, b.endTs, 0, 0, 0L, 0))
-      val rows = b.elements.flatMap { e =>
-        elemOf(e.id) = e
+      val ticks = (0 until model.z).map(t => TopicEvent(t, b.endTs, None))
+      // The engine's replay order: a reference resolves only to an element seen before it.
+      val rows = b.elements.sortBy(e => (e.ts, e.id)).flatMap { e =>
         val inserts = e.topics.toSeq.map { case (t, pe) =>
-          TopicEvent(t, 0, e.id, e.ts, b.endTs, semantic(model, e, t, pe), pe, 0L, 0)
+          TopicEvent(t, b.endTs, Some(StatefulElem(e.id, e.ts, e.ts, semantic(model, e, t, pe), pe, Nil)))
         }
-        val refs = e.refs.toSeq.flatMap { pid =>
-          elemOf.get(pid).toSeq.flatMap { parent =>
-            parent.topics.toSeq.map { case (t, pp) =>
-              TopicEvent(t, 1, e.id, e.ts, b.endTs, 0, 0, pid, e.topics(t),
-                parentTs = parent.ts, parentR = semantic(model, parent, t, pp), parentP = pp)
-            }
-          }
+        val refs = for (pid <- e.refs.toSeq; ev <- insertsOf.getOrElse(pid, Nil); p <- ev.elem) yield {
+          val child = ChildEntry(e.id, e.ts, e.topics(ev.topic))
+          TopicEvent(ev.topic, b.endTs, Some(p.copy(lastRef = math.max(p.ts, e.ts), children = List(child))))
         }
+        insertsOf(e.id) = inserts
         inserts ++ refs
       }
       rows ++ ticks
@@ -116,23 +86,18 @@ object StreamingRankedLists {
   ): Iterator[RankedEntry] = {
     var elems = state.getOption.map(_.elems).getOrElse(Map.empty[Long, StatefulElem])
     var bucketEnd = 0L
-    // Inserts before refs at equal ts; refs always point strictly backwards
-    // in time, so ts-order replay reconstructs Algorithm 1's sequence.
-    rows.toSeq.sortBy(r => (r.ts, r.kind, r.id)).foreach { ev =>
+    // The engine's replay order: an insert at (ts, 0, id), a reference c→p at
+    // (c.ts, 1, c.id), so each parent's children arrive as in the engine. An
+    // absent id takes the event's entry; a present one takes the later
+    // lastRef and appends the event's children.
+    rows.toSeq.sortBy(_.elem.fold((0L, 0, 0L)) { e =>
+      e.children.headOption.fold((e.ts, 0, e.id))(c => (c.childTs, 1, c.childId))
+    }).foreach { ev =>
       bucketEnd = math.max(bucketEnd, ev.bucketEnd)
-      ev.kind match {
-        case 0 =>
-          elems += ev.id -> StatefulElem(ev.id, ev.ts, ev.ts, ev.rScore, ev.pe, Nil)
-        case 1 =>
-          // Resurrect a discarded parent on re-reference (the ref event
-          // carries the parent's static scores for exactly this case).
-          val p = elems.getOrElse(ev.parentId,
-            StatefulElem(ev.parentId, ev.parentTs, ev.parentTs, ev.parentR, ev.parentP, Nil))
-          elems += p.id -> p.copy(
-            lastRef = math.max(p.lastRef, ev.ts),
-            children = ChildEntry(ev.id, ev.ts, ev.pChild) :: p.children,
-          )
-        case _ => // tick
+      ev.elem.foreach { e =>
+        elems += e.id -> elems.get(e.id).fold(e) { old =>
+          old.copy(lastRef = math.max(old.lastRef, e.lastRef), children = old.children ++ e.children)
+        }
       }
     }
     val windowStart = bucketEnd - window + 1
@@ -142,15 +107,12 @@ object StreamingRankedLists {
     }
     state.update(TopicListState(elems))
 
-    val ranked = elems.values.toSeq
-      .map { e =>
-        val inf = e.pe * e.children.map(_.pChild).sum
-        (e.id, lambda * e.rScore + (1 - lambda) / eta * inf)
-      }
-      .sortBy { case (id, d) => (-d, -id) }
-      .take(topN)
-    ranked.zipWithIndex.map { case ((id, d), i) =>
+    val list = new RankedList
+    elems.valuesIterator.foreach { e =>
+      list.add(ActiveElement.delta(lambda, eta, e.rScore, e.pe, e.children.foldLeft(0.0)(_ + _.pChild)), e.id)
+    }
+    list.iterator.take(topN).zipWithIndex.map { case ((d, id), i) =>
       RankedEntry(topic, bucketEnd, i + 1, id, d)
-    }.iterator
+    }
   }
 }

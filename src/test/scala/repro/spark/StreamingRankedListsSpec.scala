@@ -83,18 +83,18 @@ class StreamingRankedListsSpec extends SparkSpec {
     val buckets = Bucket.bucketize(PaperExample.elements, 1, 8)
     val events = StreamingRankedLists.events(PaperExample.model, buckets)
     // e4 refs e3; e3 has support on both topics, so two ref events exist.
-    val e4refs = events.filter(e => e.kind == 1 && e.id == 4L)
+    val e4refs = events.filter(_.elem.exists(_.children.exists(_.childId == 4L)))
     assert(e4refs.map(_.topic).toSet == Set(0, 1))
-    assert(e4refs.forall(_.parentId == 3L))
+    assert(e4refs.forall(_.elem.get.id == 3L))
     // The ref event carries p_i(child): e4 has p_2 = 0 on topic 1.
-    assert(e4refs.find(_.topic == 1).get.pChild == 0.0)
-    assert(e4refs.find(_.topic == 0).get.pChild == 1.0)
+    assert(e4refs.find(_.topic == 1).get.elem.get.children.map(_.pChild) == List(0.0))
+    assert(e4refs.find(_.topic == 0).get.elem.get.children.map(_.pChild) == List(1.0))
   }
 
   test("event builder emits one insert per supported topic") {
     val buckets = Bucket.bucketize(PaperExample.elements, 1, 8)
     val events = StreamingRankedLists.events(PaperExample.model, buckets)
-    val inserts = events.filter(_.kind == 0)
+    val inserts = events.flatMap(_.elem).filter(_.children.isEmpty)
     assert(inserts.count(_.id == 4L) == 1) // e4 is θ1-only
     assert(inserts.count(_.id == 1L) == 2)
   }
@@ -102,7 +102,7 @@ class StreamingRankedListsSpec extends SparkSpec {
   test("ticks are emitted for every topic in every bucket") {
     val buckets = Bucket.bucketize(PaperExample.elements, 2, 8)
     val events = StreamingRankedLists.events(PaperExample.model, buckets)
-    val ticks = events.filter(_.kind == 2)
+    val ticks = events.filter(_.elem.isEmpty)
     assert(ticks.size == buckets.size * PaperExample.model.z)
   }
 }

@@ -20,13 +20,13 @@ class UpdateTopicSpec extends AnyFunSuite {
   }
 
   private def insert(id: Long, ts: Long, r: Double, p: Double, bucketEnd: Long) =
-    TopicEvent(0, 0, id, ts, bucketEnd, r, p, 0L, 0)
+    TopicEvent(0, bucketEnd, Some(StatefulElem(id, ts, ts, r, p, Nil)))
 
   private def ref(child: Long, ts: Long, pChild: Double, parent: Long, bucketEnd: Long,
       parentTs: Long = 0L, parentR: Double = 0.0, parentP: Double = 0.0) =
-    TopicEvent(0, 1, child, ts, bucketEnd, 0, 0, parent, pChild, parentTs, parentR, parentP)
+    TopicEvent(0, bucketEnd, Some(StatefulElem(parent, parentTs, ts, parentR, parentP, List(ChildEntry(child, ts, pChild)))))
 
-  private def tick(bucketEnd: Long) = TopicEvent(0, 2, 0L, bucketEnd, bucketEnd, 0, 0, 0L, 0)
+  private def tick(bucketEnd: Long) = TopicEvent(0, bucketEnd, None)
 
   test("insert emits a ranked entry with δ = λ·R") {
     val s = state()
