@@ -25,6 +25,11 @@ object StreamingJob {
       val buckets: Seq[Bucket] = ds.buckets.take(nBuckets)
       val events = StreamingRankedLists.events(ds.gen.model, buckets).groupBy(_.bucketEnd)
 
+      // One stateful task per topic key at most, rather than Spark's default
+      // 200 shuffle partitions (each a task and a state-store commit per
+      // micro-batch) for z keys.
+      spark.conf.set("spark.sql.shuffle.partitions",
+        math.min(ds.gen.model.z, spark.sparkContext.defaultParallelism).toLong)
       val input = MemoryStream[TopicEvent](spark)
       val out = StreamingRankedLists.pipeline(
         spark, input.toDS(), BenchData.WindowT, BenchData.Lambda, ds.eta, topN = 5)

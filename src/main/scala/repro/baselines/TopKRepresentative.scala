@@ -18,21 +18,12 @@ object TopKRepresentative {
     // Min-heap of the current best k: (δ(e,x), id).
     val top = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by[(Double, Long), Double](_._1).reverse)
 
-    var continue = !cursor.exhausted
-    while (continue) {
-      val ub = cursor.upperBound
-      if (top.size >= k && ub < top.head._1) continue = false
-      else {
-        val ae = cursor.popMax()
-        if (ae == null) continue = false
-        else {
-          val d = engine.deltaScore(ae, q)
-          if (d > 0.0) {
-            top.enqueue((d, ae.elem.id))
-            if (top.size > k) top.dequeue()
-          }
-          if (cursor.exhausted) continue = false
-        }
+    while (!cursor.exhausted && (top.size < k || cursor.upperBound >= top.head._1)) {
+      val ae = cursor.popMax()
+      val d = engine.deltaScore(ae, q)
+      if (d > 0.0) {
+        top.enqueue((d, ae.elem.id))
+        if (top.size > k) top.dequeue()
       }
     }
 

@@ -14,7 +14,6 @@ object BenchData {
 
   val Epsilon = 0.1
   val DefaultK = 10
-  val Z = 50
   val WindowT: Long = 24 * 3600 // 24 hours, in seconds
   val BucketL: Long = 15 * 60 // 15 minutes
   val SpanSeconds: Long = 3 * 24 * 3600 // 3-day streams

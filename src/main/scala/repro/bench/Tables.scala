@@ -7,8 +7,8 @@ import repro.data.SocialStreamGen
 import repro.metrics.EvalMetrics
 import repro.spark.BatchScoring
 
-/** The computations behind each reproduced table, shared by the bench suites
-  * (which add shape assertions) and the spark-submit jobs in `jobs/`.
+/** The computations behind each reproduced table; the `bench/` suites print
+  * them beside the paper's values and assert their shape.
   */
 object Tables {
 

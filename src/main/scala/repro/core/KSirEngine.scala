@@ -253,8 +253,9 @@ final class KSirEngine(
     // The input contract, checked before any state changes so a rejected
     // bucket leaves the engine as it was: topic masses p_i(e) lie in (0, 1]
     // and sum to 1, topic and word ids index the model, no element refers to
-    // itself, and ids are unique over the stream (a second element under an
-    // id would replace the first in A_t).
+    // itself or names a parent twice (Equation 4 covers the set of
+    // referrers), and ids are unique over the stream (a second element under
+    // an id would replace the first in A_t).
     val ids = new Array[Long](bucket.elements.length)
     var n = 0
     bucket.elements.foreach { e =>
@@ -271,6 +272,13 @@ final class KSirEngine(
       var r = 0
       while (r < e.refs.length && e.refs(r) != e.id) r += 1
       require(r == e.refs.length, s"element ${e.id} refers to itself")
+      if (e.refs.length > 1) {
+        val refs = e.refs.clone()
+        java.util.Arrays.sort(refs)
+        r = 1
+        while (r < refs.length && refs(r) != refs(r - 1)) r += 1
+        require(r == refs.length, s"element ${e.id} refers to ${refs(r - 1)} twice")
+      }
       ids(n) = e.id; n += 1
     }
     java.util.Arrays.sort(ids)

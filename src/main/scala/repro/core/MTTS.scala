@@ -18,32 +18,25 @@ object MTTS {
     // Candidate S_j admits e when δ(e) and Δ(e|S_j) reach τ_j = φ_j / 2k.
     val candidates = new ThresholdCandidates(engine, q, k, epsilon)
 
-    // TH: min τ_j over unfilled candidates; 0 before any candidate opens and
-    // +∞ once every candidate is full (no element can be admitted anywhere).
-    def threshold: Double = {
-      var th = if (candidates.size == 0) 0.0 else Double.PositiveInfinity
-      var i = 0
-      while (i < candidates.size) {
-        if (candidates.state(i).size < k && candidates.tau(i) < th) th = candidates.tau(i)
-        i += 1
-      }
-      th
-    }
-
+    // Φ is held in ascending τ_j, so no candidate after the first τ_j > δ(e)
+    // can admit e, and TH, the least τ_j over unfilled candidates, is the τ
+    // of the first unfilled one: 0 before any candidate opens and +∞ once
+    // every candidate is full. An exhausted cursor's bound is 0.
     var ub = cursor.upperBound
     var th = 0.0
-    while (ub >= th && !cursor.exhausted && ub > 0.0) {
+    while (ub >= th && ub > 0.0) {
       val ae = cursor.popMax()
       val deltaE = engine.deltaScore(ae, q)
       candidates.raise(deltaE)
       var i = 0
-      while (i < candidates.size) {
-        val tau = candidates.tau(i)
+      while (i < candidates.size && candidates.tau(i) <= deltaE) {
         val s = candidates.state(i)
-        if (deltaE >= tau && s.size < k && s.gain(ae) >= tau) s.add(ae)
+        if (s.size < k && s.gain(ae) >= candidates.tau(i)) s.add(ae)
         i += 1
       }
-      th = threshold
+      i = 0
+      while (i < candidates.size && candidates.state(i).size >= k) i += 1
+      th = if (i < candidates.size) candidates.tau(i) else if (i == 0) 0.0 else Double.PositiveInfinity
       ub = cursor.upperBound
     }
 

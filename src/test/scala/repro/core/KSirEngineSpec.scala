@@ -220,6 +220,17 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(eng.activeElement(3).isEmpty)
   }
 
+  test("an element naming the same parent twice is rejected and leaves the engine unchanged") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)), el(2, 1, Seq(1), Seq(0 -> 1.0)))))
+    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.activeElement(1).get.childCount)
+    val before = state
+    intercept[IllegalArgumentException](
+      eng.advance(Bucket(2, Seq(el(3, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(2)), el(4, 2, Seq(0), Seq(0 -> 1.0), refs = Seq(1, 2, 1))))))
+    assert(state == before)
+    assert(eng.activeElement(3).isEmpty && eng.activeElement(4).isEmpty)
+  }
+
   test("a bucket older than the previous bucket still expires on time") {
     val eng = mk()
     eng.advance(Bucket(5, Seq(el(1, 5, Seq(0), Seq(0 -> 1.0)))))

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.PaperExample
+import repro.data.{PaperExample, SocialStreamGen, StreamConfig}
 import repro.baselines.Celf
 
 /** MTTS-specific behaviour: threshold bookkeeping, early termination,
@@ -79,6 +79,53 @@ class MTTSSpec extends AnyFunSuite {
       val res = MTTS.query(e, q, 3, 0.1)
       assert(res.evaluated <= res.retrieved)
       assert(res.retrieved <= e.activeCount)
+    }
+  }
+
+  /** Algorithm 2 with no use of Φ's order: every candidate is tested on every
+    * retrieved element, and TH is the minimum over all unfilled candidates.
+    */
+  private def fullScanMtts(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double): KSirResult = {
+    val cursor = new RankedListCursor(engine, q)
+    val candidates = new ThresholdCandidates(engine, q, k, epsilon)
+    var th = 0.0
+    while (!cursor.exhausted && cursor.upperBound >= th && cursor.upperBound > 0.0) {
+      val ae = cursor.popMax()
+      val deltaE = engine.deltaScore(ae, q)
+      candidates.raise(deltaE)
+      (0 until candidates.size).foreach { i =>
+        val s = candidates.state(i)
+        if (deltaE >= candidates.tau(i) && s.size < k && s.gain(ae) >= candidates.tau(i)) s.add(ae)
+      }
+      val unfilled = (0 until candidates.size).filter(i => candidates.state(i).size < k).map(candidates.tau)
+      th = if (candidates.size == 0) 0.0 else unfilled.minOption.getOrElse(Double.PositiveInfinity)
+    }
+    candidates.best(cursor.retrievedCount)
+  }
+
+  test("MTTS equals the full-scan Algorithm 2 in ids, order, score and counts") {
+    val engines = Seq(
+      SocialStreamGen.generate(StreamConfig.aminer(500, 3600, 71L)),
+      SocialStreamGen.generate(StreamConfig.twitter(2000, 3600, 73L)),
+    ).map { g =>
+      val e = new KSirEngine(g.model, 2400, 0.5, 5.0)
+      Bucket.bucketize(g.elements, 300, 3600).foreach(e.advance)
+      (e, g.model.z)
+    } ++ (0L to 4L).map(seed => (PropStreams.engine(seed), 8))
+    val rnd = new scala.util.Random(83)
+    engines.zipWithIndex.foreach { case ((e, z), n) =>
+      (0 until 30).foreach { trial =>
+        val topics = Seq.fill(1 + rnd.nextInt(3))(rnd.nextInt(z)).distinct
+        val q = QueryVector(topics.map(t => t -> (0.1 + rnd.nextDouble())): _*)
+        val k = 1 + rnd.nextInt(15)
+        val eps = Seq(0.01, 0.1, 0.3)(rnd.nextInt(3))
+        val got = MTTS.query(e, q, k, eps)
+        val want = fullScanMtts(e, q, k, eps)
+        val what = s"engine $n trial $trial k=$k ε=$eps"
+        assert(got.elements == want.elements, what)
+        assert(java.lang.Double.doubleToRawLongBits(got.score) == java.lang.Double.doubleToRawLongBits(want.score), what)
+        assert(got.evaluated == want.evaluated && got.retrieved == want.retrieved, what)
+      }
     }
   }
 }
