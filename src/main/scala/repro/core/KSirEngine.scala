@@ -252,12 +252,22 @@ final class KSirEngine(
     require(bucket.endTs > nowTs, s"buckets must advance time: ${bucket.endTs} <= $nowTs")
     // The input contract, checked before any state changes so a rejected
     // bucket leaves the engine as it was: topic masses p_i(e) lie in (0, 1]
-    // and sum to 1, topic and word ids index the model, no element refers to
-    // itself or names a parent twice (Equation 4 covers the set of
-    // referrers), and ids are unique over the stream (a second element under
-    // an id would replace the first in A_t).
-    val ids = new Array[Long](bucket.elements.length)
-    var n = 0
+    // and sum to 1, topic and word ids index the model, ids are unique over
+    // the stream (a second element under an id would replace the first in
+    // A_t), no element names a parent twice (Equation 4 covers the set of
+    // referrers), and a reference into the bucket names an element strictly
+    // earlier in the (ts, id) order the bucket is replayed in (a later one,
+    // or the element itself, is not yet in `archive` when the reference is
+    // applied, so the reference would be lost).
+    val byId = bucket.elements.toArray
+    java.util.Arrays.sort(byId, KSirEngine.ById)
+    val ids = new Array[Long](byId.length)
+    var i = 0
+    while (i < ids.length) {
+      ids(i) = byId(i).id
+      require(!archive.contains(ids(i)) && (i == 0 || ids(i) != ids(i - 1)), s"duplicate element id ${ids(i)}")
+      i += 1
+    }
     bucket.elements.foreach { e =>
       val t = e.topics.idx
       val p = e.topics.v
@@ -270,8 +280,15 @@ final class KSirEngine(
       while (w < e.words.length && e.words(w) >= 0 && e.words(w) < model.vocabSize) w += 1
       require(w == e.words.length, s"element ${e.id}: word id outside [0, ${model.vocabSize})")
       var r = 0
-      while (r < e.refs.length && e.refs(r) != e.id) r += 1
-      require(r == e.refs.length, s"element ${e.id} refers to itself")
+      var earlier = true
+      while (earlier && r < e.refs.length) {
+        val k = java.util.Arrays.binarySearch(ids, e.refs(r))
+        earlier = k < 0 || byId(k).ts < e.ts || (byId(k).ts == e.ts && ids(k) < e.id)
+        r += 1
+      }
+      require(earlier,
+        if (e.refs(r - 1) == e.id) s"element ${e.id} refers to itself"
+        else s"element ${e.id} refers to ${e.refs(r - 1)}, which its bucket replays after it")
       if (e.refs.length > 1) {
         val refs = e.refs.clone()
         java.util.Arrays.sort(refs)
@@ -279,20 +296,13 @@ final class KSirEngine(
         while (r < refs.length && refs(r) != refs(r - 1)) r += 1
         require(r == refs.length, s"element ${e.id} refers to ${refs(r - 1)} twice")
       }
-      ids(n) = e.id; n += 1
-    }
-    java.util.Arrays.sort(ids)
-    var i = 0
-    while (i < n) {
-      require(!archive.contains(ids(i)) && (i == 0 || ids(i) != ids(i - 1)), s"duplicate element id ${ids(i)}")
-      i += 1
     }
     nowTs = bucket.endTs
     val windowStart = nowTs - window + 1
 
     // Insert each element and propagate its references to parents, in
-    // timestamp order (references always point strictly backwards in time,
-    // so parents are inserted before their children's refs are applied).
+    // (ts, id) order, so a parent from the same bucket is inserted before
+    // its children's refs are applied.
     bucket.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
       archive(e.id) = e
       admit(e)
@@ -383,6 +393,8 @@ final class KSirEngine(
 }
 
 object KSirEngine {
+
+  private val ById: java.util.Comparator[Element] = (a, b) => java.lang.Long.compare(a.id, b.id)
 
   /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.
     * A heap rather than a FIFO, so expiry stays exact when a bucket carries

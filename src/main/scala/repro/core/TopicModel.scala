@@ -23,11 +23,12 @@ final class TopicModel(
     * query-by-keyword paradigm (keywords as a pseudo-document, §3.2) and for
     * elements when a pre-assigned distribution is not available. A simple
     * one-step posterior with a uniform topic prior:
-    * `p(θ_i | doc) ∝ Σ_w γ(w) · p_i(w)`, truncated to `maxTopics` entries and
-    * renormalized — matching the paper's observation that elements sit on
-    * very few topics (<2 on average).
+    * `p(θ_i | doc) ∝ Σ_w γ(w) · p_i(w)`, truncated to the
+    * [[TopicModel.MaxTopics]] most likely topics and renormalized — matching
+    * the paper's observation that elements sit on very few topics (<2 on
+    * average).
     */
-  def infer(words: Seq[Int], maxTopics: Int = 5): SparseVec = {
+  def infer(words: Seq[Int]): SparseVec = {
     val scores = new Array[Double](z)
     var i = 0
     while (i < z) {
@@ -36,11 +37,17 @@ final class TopicModel(
       scores(i) = s
       i += 1
     }
-    val top = scores.zipWithIndex.filter(_._1 > 0).sortBy(-_._1).take(maxTopics)
+    val top = scores.zipWithIndex.filter(_._1 > 0).sortBy(-_._1).take(TopicModel.MaxTopics)
     val norm = top.map(_._1).sum
     if (norm <= 0) SparseVec.empty
     else SparseVec(top.map { case (s, t) => (t, s / norm) }.sortBy(_._1): _*)
   }
+}
+
+object TopicModel {
+
+  /** Most topics [[TopicModel.infer]] keeps. */
+  val MaxTopics = 5
 }
 
 /** A z-dimensional query vector x (sparse): the user's degree of interest on

@@ -222,34 +222,11 @@ object SocialStreamGen {
     lo
   }
 
-  /** The stream as a DataFrame for the Spark pipeline and oracle checks. */
+  /** The stream as a DataFrame, the input of Table 3's statistics. */
   def toDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
     import spark.implicits._
     elements
       .map(e => (e.id, e.ts, e.words.toSeq, e.refs.toSeq, e.topics.toSeq))
       .toDF("id", "ts", "words", "refs", "topics")
-  }
-
-  /** Exploded (element, word, freq) view for SQL-side scoring. */
-  def wordsDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
-    import spark.implicits._
-    elements.flatMap(e => e.wordFreqs.toSeq.map { case (w, f) => (e.id, w, f.toInt) }).toDF("elem", "word", "freq")
-  }
-
-  /** Exploded (element, topic, p) view. */
-  def topicsDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
-    import spark.implicits._
-    elements.flatMap(e => e.topics.toSeq.map { case (t, p) => (e.id, t, p) }).toDF("elem", "topic", "p")
-  }
-
-  /** Exploded (topic, word, p) view of a topic model (only p > 0 rows for the
-    * words present in the given vocabulary slice).
-    */
-  def topicWordDF(spark: SparkSession, model: TopicModel, words: Set[Int]): DataFrame = {
-    import spark.implicits._
-    (0 until model.z)
-      .flatMap(i => words.toSeq.sorted.map(w => (i, w, model.pWord(i, w))))
-      .filter(_._3 > 0)
-      .toDF("topic", "word", "p")
   }
 }

@@ -231,6 +231,30 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(eng.activeElement(3).isEmpty && eng.activeElement(4).isEmpty)
   }
 
+  test("a reference to a later element of the same bucket is rejected and leaves the engine unchanged") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.rankedList(1).toSeq, eng.activeElement(1).get.childCount)
+    val before = state
+    // The bucket is replayed in (ts, id) order: e2 (ts 2) names e3 (ts 3),
+    // and e4 names e5, which has the same ts and a larger id.
+    val later = Seq(
+      Seq(el(2, 2, Seq(0), Seq(0 -> 1.0), refs = Seq(1, 3)), el(3, 3, Seq(1), Seq(0 -> 1.0))),
+      Seq(el(5, 3, Seq(2), Seq(1 -> 1.0)), el(4, 3, Seq(0), Seq(0 -> 1.0), refs = Seq(5))),
+    )
+    later.foreach { b =>
+      intercept[IllegalArgumentException](eng.advance(Bucket(3, b)))
+      assert(state == before, b.map(_.id))
+    }
+    // Earlier elements of the same bucket may be named: by ts, and at equal
+    // ts by id.
+    eng.advance(Bucket(3, Seq(el(3, 3, Seq(1), Seq(0 -> 1.0), refs = Seq(2)), el(2, 2, Seq(0), Seq(0 -> 1.0), refs = Seq(1)),
+      el(5, 3, Seq(2), Seq(1 -> 1.0), refs = Seq(4)), el(4, 3, Seq(0), Seq(0 -> 1.0)))))
+    assert(Children.ids(eng.activeElement(1).get) == Seq(2L))
+    assert(Children.ids(eng.activeElement(2).get) == Seq(3L))
+    assert(Children.ids(eng.activeElement(4).get) == Seq(5L))
+  }
+
   test("a bucket older than the previous bucket still expires on time") {
     val eng = mk()
     eng.advance(Bucket(5, Seq(el(1, 5, Seq(0), Seq(0 -> 1.0)))))

@@ -42,7 +42,12 @@ class TopicModelSpec extends AnyFunSuite {
   }
 
   test("infer truncates to maxTopics") {
-    assert(model.infer(Seq(1, 2), maxTopics = 1).idx.length == 1)
+    // Seven topics, word w only on topic w, and keyword w repeated w + 1
+    // times: the keywords spread over all seven topics, and the five most
+    // likely are topics 2..6.
+    val wide = new TopicModel(7, 7, Array.tabulate(7, 7)((i, w) => if (i == w) 1.0 else 0.0))
+    val v = wide.infer((0 until 7).flatMap(w => Seq.fill(w + 1)(w)))
+    assert(TopicModel.MaxTopics == 5 && v.idx.toSeq == (2 until 7))
   }
 
   test("query vector entries must be positive") {

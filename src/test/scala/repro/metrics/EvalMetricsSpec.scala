@@ -3,9 +3,8 @@ package repro.metrics
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.data.{PaperExample, SocialStreamGen, StreamConfig}
-import org.apache.spark.sql.functions._
 
-/** Table 5/6 metric implementations: Spark vs local vs DuckDB oracle. */
+/** Table 5/6 metric implementations, checked by hand and against the DuckDB oracle. */
 class EvalMetricsSpec extends SparkSpec {
 
   private lazy val g = SocialStreamGen.generate(
@@ -17,56 +16,6 @@ class EvalMetricsSpec extends SparkSpec {
   }
   private lazy val q = QueryVector(0 -> 0.5, 1 -> 0.5)
   private lazy val s: Seq[Long] = MTTD.query(engine, q, 5, 0.1).elements
-
-  private lazy val activesDF = {
-    import spark.implicits._
-    engine.activeElements.flatMap(ae => ae.elem.topics.toSeq.map { case (t, p) => (ae.elem.id, t, p) })
-      .toSeq.toDF("elem", "topic", "p").cache()
-  }
-
-  test("coverage: Spark num/den matches the local computation") {
-    val row = EvalMetrics.coverageDF(spark, activesDF, s, q).collect().head
-    val sparkCov = if (row.getDouble(1) == 0) 0.0 else row.getDouble(0) / row.getDouble(1)
-    val localCov = EvalMetrics.coverageLocal(engine, s, q)
-    assert(math.abs(sparkCov - localCov) < 1e-9, s"spark=$sparkCov local=$localCov")
-  }
-
-  test("coverage: Spark vs DuckDB oracle") {
-    import spark.implicits._
-    val sDf = s.map(Tuple1(_)).toDF("sid")
-    val qDf = q.entries.toSeq.toDF("topic", "x")
-    val qNorm = math.sqrt(q.entries.v.map(x => x * x).sum)
-    val df = EvalMetrics.coverageDF(spark, activesDF, s, q)
-    Oracle.assertEquivalent(
-      df,
-      s"""WITH a AS (SELECT CAST(elem AS BIGINT) elem, CAST(topic AS INT) topic, CAST(p AS DOUBLE) p FROM actives),
-         |sids AS (SELECT CAST(sid AS BIGINT) sid FROM sdf),
-         |norms AS (SELECT elem, SQRT(SUM(p*p)) AS norm FROM a GROUP BY elem),
-         |rest AS (SELECT * FROM a WHERE elem NOT IN (SELECT sid FROM sids)),
-         |rel AS (
-         |  SELECT r.elem AS elem, SUM(r.p * CAST(qv.x AS DOUBLE)) / (MAX(n.norm) * $qNorm) AS rel
-         |  FROM rest r
-         |  JOIN qdf qv ON CAST(qv.topic AS INT) = r.topic
-         |  JOIN norms n ON n.elem = r.elem
-         |  GROUP BY r.elem),
-         |dots AS (
-         |  SELECT r.elem AS elem, sa.elem AS selem, SUM(r.p * sa.p) AS dot
-         |  FROM rest r
-         |  JOIN a sa ON sa.topic = r.topic
-         |  WHERE sa.elem IN (SELECT sid FROM sids)
-         |  GROUP BY r.elem, sa.elem),
-         |sim AS (
-         |  SELECT d.elem AS elem, MAX(d.dot / (n.norm * sn.norm)) AS best
-         |  FROM dots d
-         |  JOIN norms n ON n.elem = d.elem
-         |  JOIN norms sn ON sn.elem = d.selem
-         |  GROUP BY d.elem)
-         |SELECT SUM(rel.rel * COALESCE(sim.best, 0)) AS num, SUM(rel.rel) AS den
-         |FROM rel LEFT JOIN sim ON sim.elem = rel.elem
-         |""".stripMargin,
-      "actives" -> activesDF, "sdf" -> sDf, "qdf" -> qDf,
-    )
-  }
 
   test("referrerCount counts active elements referring into S") {
     val eng = PaperExample.engineAt(8)
@@ -131,17 +80,5 @@ class EvalMetricsSpec extends SparkSpec {
 
   test("rankScores rejects empty input") {
     intercept[IllegalArgumentException](EvalMetrics.rankScores(Seq.empty))
-  }
-
-  test("coverageLocal of an empty set is 0") {
-    assert(EvalMetrics.coverageLocal(engine, Seq.empty, q) == 0.0)
-  }
-
-  test("coverage increases with a second complementary element") {
-    // Adding an element can only help max_{e'∈S} sim — on a fixed denominator
-    // minus the moved element. Check the typical case on the MTTD result.
-    val one = EvalMetrics.coverageLocal(engine, s.take(1), q)
-    val all = EvalMetrics.coverageLocal(engine, s, q)
-    assert(all >= one * 0.8, s"one=$one all=$all") // generous: denominators differ
   }
 }

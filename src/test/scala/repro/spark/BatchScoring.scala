@@ -1,22 +1,44 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.core.{Element, TopicModel}
 
 /** DataFrame formulations of the paper's per-element scores: a relational
-  * rendering of the same math, checked in the tests against an independent
-  * DuckDB SQL derivation and against [[repro.core.KSirEngine]]'s R_i(e) and
-  * I_{i,t}(e).
+  * rendering of the same math, kept as a reference that the tests check
+  * against an independent DuckDB SQL derivation and against
+  * [[repro.core.KSirEngine]]'s R_i(e), I_{i,t}(e) and δ_i(e).
   *
-  * Inputs are the exploded relational views produced by
-  * [[repro.data.SocialStreamGen]]:
-  *  - `elemWords(elem, word, freq)`   — γ(w,e)
-  *  - `elemTopics(elem, topic, p)`    — p_i(e)
-  *  - `topicWords(topic, word, p)`    — p_i(w)
+  * Inputs are exploded relational views of a stream:
+  *  - `elemWords(elem, word, freq)`   — γ(w,e), from [[wordsDF]]
+  *  - `elemTopics(elem, topic, p)`    — p_i(e), from [[topicsDF]]
+  *  - `topicWords(topic, word, p)`    — p_i(w), from [[topicWordDF]]
   *  - `references(child, parent, childTs)`
   */
 object BatchScoring {
+
+  /** Exploded (element, word, freq) view. */
+  def wordsDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
+    import spark.implicits._
+    elements.flatMap(e => e.wordFreqs.toSeq.map { case (w, f) => (e.id, w, f.toInt) }).toDF("elem", "word", "freq")
+  }
+
+  /** Exploded (element, topic, p) view. */
+  def topicsDF(spark: SparkSession, elements: Seq[Element]): DataFrame = {
+    import spark.implicits._
+    elements.flatMap(e => e.topics.toSeq.map { case (t, p) => (e.id, t, p) }).toDF("elem", "topic", "p")
+  }
+
+  /** Exploded (topic, word, p) view of a topic model (only p > 0 rows for the
+    * words present in the given vocabulary slice).
+    */
+  def topicWordDF(spark: SparkSession, model: TopicModel, words: Set[Int]): DataFrame = {
+    import spark.implicits._
+    (0 until model.z)
+      .flatMap(i => words.toSeq.sorted.map(w => (i, w, model.pWord(i, w))))
+      .filter(_._3 > 0)
+      .toDF("topic", "word", "p")
+  }
 
   /** σ_i(w,e) = −γ(w,e)·p_i(w,e)·log p_i(w,e) with p_i(w,e) = p_i(w)·p_i(e),
     * for every (element, topic, word) with positive probability.
@@ -65,33 +87,5 @@ object BatchScoring {
       .select(
         col("elem"), col("topic"),
         (lit(lambda) * col("r_score") + lit((1 - lambda) / eta) * col("i_score")) as "delta",
-      )
-
-  /** Top-n ranked-list prefix per topic, the batch rendering of RL_i. */
-  def topPerTopic(delta: DataFrame, n: Int): DataFrame = {
-    val w = Window.partitionBy("topic").orderBy(col("delta").desc, col("elem").desc)
-    delta
-      .withColumn("rank", row_number().over(w))
-      .where(col("rank") <= n)
-      .select("topic", "rank", "elem", "delta")
-  }
-
-  /** Table 3 statistics of a stream DataFrame (id, ts, words, refs, topics):
-    * element count, distinct vocabulary, average document length, average
-    * references per element.
-    */
-  def datasetStats(stream: DataFrame): DataFrame =
-    stream
-      .select(
-        lit(1) as "one",
-        size(col("words")) as "len",
-        size(col("refs")) as "nrefs",
-        col("words"),
-      )
-      .agg(
-        sum("one") as "elements",
-        size(array_distinct(flatten(collect_list(col("words"))))) as "vocab",
-        avg("len") as "avg_length",
-        avg("nrefs") as "avg_refs",
       )
 }

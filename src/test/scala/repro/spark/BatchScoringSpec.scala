@@ -1,6 +1,7 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
+import repro.bench.Tables
 import repro.core._
 import repro.data.{SocialStreamGen, StreamConfig}
 import org.apache.spark.sql.DataFrame
@@ -14,9 +15,9 @@ class BatchScoringSpec extends SparkSpec {
   private lazy val g = SocialStreamGen.generate(
     StreamConfig("batch", 150, 200, 6, 6, 1.2, 1000, 1000, seed = 21L))
   private lazy val words = g.elements.flatMap(_.words).toSet
-  private lazy val elemWords = SocialStreamGen.wordsDF(spark, g.elements).cache()
-  private lazy val elemTopics = SocialStreamGen.topicsDF(spark, g.elements).cache()
-  private lazy val topicWords = SocialStreamGen.topicWordDF(spark, g.model, words).cache()
+  private lazy val elemWords = BatchScoring.wordsDF(spark, g.elements).cache()
+  private lazy val elemTopics = BatchScoring.topicsDF(spark, g.elements).cache()
+  private lazy val topicWords = BatchScoring.topicWordDF(spark, g.model, words).cache()
 
   private lazy val engine: KSirEngine = {
     val e = new KSirEngine(g.model, 1000, 0.5, 5.0)
@@ -95,27 +96,9 @@ class BatchScoringSpec extends SparkSpec {
     }
   }
 
-  test("topPerTopic: DataFrame vs DuckDB window-function oracle") {
-    val sem = BatchScoring.semanticScores(elemWords, elemTopics, topicWords)
-    val inf = BatchScoring.singletonInfluence(refsDF, elemTopics, 1, 1000)
-    val delta = BatchScoring.deltaScores(sem, inf, 0.5, 5.0).cache()
-    val df = BatchScoring.topPerTopic(delta, 5)
-    Oracle.assertEquivalent(
-      df,
-      """SELECT topic, rank, elem, delta FROM (
-        |  SELECT CAST(topic AS INT) AS topic,
-        |         ROW_NUMBER() OVER (PARTITION BY topic
-        |                            ORDER BY CAST(delta AS DOUBLE) DESC, CAST(elem AS BIGINT) DESC) AS rank,
-        |         CAST(elem AS BIGINT) AS elem, CAST(delta AS DOUBLE) AS delta
-        |  FROM delta)
-        |WHERE rank <= 5""".stripMargin,
-      "delta" -> delta,
-    )
-  }
-
   test("datasetStats: DataFrame vs DuckDB oracle") {
     val stream = SocialStreamGen.toDF(spark, g.elements).cache()
-    val stats = BatchScoring.datasetStats(stream)
+    val stats = Tables.datasetStats(stream)
     Oracle.assertEquivalent(
       stats.select(col("elements"), col("avg_length"), col("avg_refs")),
       """SELECT COUNT(*) AS elements,
@@ -131,7 +114,7 @@ class BatchScoringSpec extends SparkSpec {
 
   test("datasetStats vocabulary matches the distinct word count") {
     val stream = SocialStreamGen.toDF(spark, g.elements)
-    val vocab = BatchScoring.datasetStats(stream).select("vocab").collect().head.getInt(0)
+    val vocab = Tables.datasetStats(stream).select("vocab").collect().head.getInt(0)
     assert(vocab == words.size)
   }
 }
