@@ -20,6 +20,9 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
   /** Last time this element was posted or referred to (t_e in Algorithm 1). */
   var lastReferred: Long = elem.ts
 
+  /** This element's slot in the engine's admission-ordered scan array. */
+  private[core] var pos: Int = -1
+
   /** p_i(e), copied from `elem.topics` so that scans over A_t find it next to
     * the rest of this state in memory, not with the stream's `Element`s.
     */
@@ -203,7 +206,14 @@ final class KSirEngine(
   require(lambda >= 0 && lambda <= 1, "λ must lie in [0,1]")
   require(eta > 0, "η must be positive")
 
+  /** A_t by id: the index for references, expiry events and cursor heads. */
   private val active = mutable.LongMap.empty[ActiveElement]
+
+  /** A_t in admission order for full scans: `scan(0 until scanEnd)`, null
+    * where an element left (see DESIGN §6c). An element sits at its `pos`.
+    */
+  private var scan = new Array[ActiveElement](64)
+  private var scanEnd = 0
 
   /** All elements ever seen, so a reference to a previously-discarded
     * element can resurrect it (the paper's A_t = W_t ∪ refs(W_t) readmits
@@ -224,13 +234,37 @@ final class KSirEngine(
 
   private var nowTs: Long = 0L
 
+  private var nUnknownRefs = 0L
+
   /** Current time t (end of the last ingested bucket). */
   def now: Long = nowTs
 
   /** Number of active elements n_t. */
   def activeCount: Int = active.size
 
-  def activeElements: Iterator[ActiveElement] = active.valuesIterator
+  /** References, over all buckets so far, to an id that was never ingested;
+    * each is otherwise ignored.
+    */
+  def unknownRefs: Long = nUnknownRefs
+
+  /** A_t in admission order, a resurrected element from its latest admission;
+    * allocates nothing per element. Not valid across an `advance`.
+    */
+  def activeElements: Iterator[ActiveElement] = new Iterator[ActiveElement] {
+    private var i = skipFrom(0)
+    private def skipFrom(from: Int): Int = {
+      var j = from
+      while (j < scanEnd && scan(j) == null) j += 1
+      j
+    }
+    def hasNext: Boolean = i < scanEnd
+    def next(): ActiveElement = {
+      if (i >= scanEnd) throw new NoSuchElementException("A_t exhausted")
+      val ae = scan(i)
+      i = skipFrom(i + 1)
+      ae
+    }
+  }
 
   def activeElement(id: Long): Option[ActiveElement] = active.get(id)
 
@@ -312,7 +346,10 @@ final class KSirEngine(
         // Resurrect a discarded element the moment it is referred again: it
         // re-enters A_t with no in-window children (any earlier child would
         // have kept it active in the first place).
-        if (parent == null && archive.contains(pid)) parent = admit(archive(pid))
+        if (parent == null) {
+          val old = archive.getOrNull(pid)
+          if (old != null) parent = admit(old) else nUnknownRefs += 1
+        }
         if (parent != null) {
           parent.addChild(e)
           parent.lastReferred = math.max(parent.lastReferred, e.ts)
@@ -336,17 +373,40 @@ final class KSirEngine(
         if (ae.lastReferred < windowStart) {
           relist(ae, keep = false)
           active.remove(ae.elem.id)
+          scan(ae.pos) = null
         } else if (ae.expireChildren(windowStart)) relist(ae, keep = true)
       }
     }
   }
 
-  /** Puts e into A_t, with no children, and into the ranked lists of its topics. */
+  /** Puts e into A_t, with no children, at the end of the scan order, and
+    * into the ranked lists of its topics.
+    */
   private def admit(e: Element): ActiveElement = {
     val ae = new ActiveElement(e, model, lambda, eta)
+    if (scanEnd == scan.length) {
+      if (2 * active.size <= scan.length) compactScan()
+      else scan = java.util.Arrays.copyOf(scan, 2 * scan.length)
+    }
+    ae.pos = scanEnd
+    scan(scanEnd) = ae
+    scanEnd += 1
     active(e.id) = ae
     relist(ae, keep = true)
     ae
+  }
+
+  /** Slides the live entries of `scan` to its front, keeping their order. */
+  private def compactScan(): Unit = {
+    var n = 0
+    var i = 0
+    while (i < scanEnd) {
+      val ae = scan(i)
+      if (ae != null) { ae.pos = n; scan(n) = ae; n += 1 }
+      i += 1
+    }
+    java.util.Arrays.fill(scan.asInstanceOf[Array[AnyRef]], n, scanEnd, null)
+    scanEnd = n
   }
 
   /** Brings ae's entries in RL_i to its current δ_i(e) when `keep`, or removes
@@ -369,6 +429,18 @@ final class KSirEngine(
   }
 
   private[core] def list(topic: Int): RankedList = lists(topic)
+
+  /** Rejects a query naming a topic outside [0, z); the list lookups would
+    * fail on it and the full scans would score it as 0.
+    */
+  private[core] def requireQueryTopics(q: QueryVector): Unit = {
+    val t = q.entries.idx
+    var j = 0
+    while (j < t.length) {
+      require(t(j) >= 0 && t(j) < model.z, s"query topic ${t(j)} outside [0, ${model.z})")
+      j += 1
+    }
+  }
 
   /** Sorted (score desc) iterator over RL_i; not valid across an `advance`. */
   def rankedList(topic: Int): Iterator[(Double, Long)] = lists(topic).iterator

@@ -11,8 +11,11 @@ import scala.collection.mutable
   *  - per influenced element c, the complement product
   *    `Π_{e'∈S∩c.ref} (1 − p_i(e'⇝c))`, so that adding e with propagation
   *    probability p contributes `prod·p` to `I_{i,t}` (Equation 4).
+  *
+  * A query naming a topic outside [0, z) is rejected on construction.
   */
 final class CandidateState(engine: KSirEngine, val q: QueryVector) {
+  engine.requireQueryTopics(q)
 
   private val lambda = engine.lambda
   private val etaInv = (1.0 - engine.lambda) / engine.eta
@@ -178,9 +181,11 @@ final case class KSirResult(elements: Seq[Long], score: Double, evaluated: Int, 
   * the `RL_i.first` / `RL_i.next` operations of §4.1, including the
   * cross-list "visited" marking so each element is retrieved at most once.
   * Each list is walked by (chunk, slot); only a list's head is looked up in
-  * A_t. The lists must not change while it is in use.
+  * A_t. The lists must not change while it is in use. A query naming a topic
+  * outside [0, z) is rejected on construction.
   */
 final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
+  engine.requireQueryTopics(q)
 
   private val d = q.d
   private val x = q.entries.v

@@ -184,6 +184,25 @@ class AlgorithmsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SieveStreaming.query(eng, q, 2, 0.0))
   }
 
+  test("a query naming a topic outside [0, z) is rejected by every method") {
+    val eng = smallEngine(0)
+    val z = eng.model.z
+    Seq(z, -1).foreach { bad =>
+      val q = QueryVector(0 -> 0.5, bad -> 0.5)
+      val methods = Seq[(String, () => KSirResult)](
+        "MTTS" -> (() => MTTS.query(eng, q, 2, 0.1)),
+        "MTTD" -> (() => MTTD.query(eng, q, 2, 0.1)),
+        "CELF" -> (() => Celf.query(eng, q, 2)),
+        "Sieve" -> (() => SieveStreaming.query(eng, q, 2, 0.1)),
+        "Top-k Rep" -> (() => TopKRepresentative.query(eng, q, 2)),
+      )
+      methods.foreach { case (name, run) =>
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.contains(s"topic $bad"), s"$name: ${e.getMessage}")
+      }
+    }
+  }
+
   test("MTTD quality is at least MTTS quality on the property streams (paper §5.3 trend)") {
     // Not a theorem — but the paper observes it consistently; check the
     // aggregate over several streams rather than each instance.

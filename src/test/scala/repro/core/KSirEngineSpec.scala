@@ -364,4 +364,74 @@ class KSirEngineSpec extends AnyFunSuite {
       assert(resurrected > 0, s"seed $seed: the stream must exercise resurrection")
     }
   }
+
+  test("a reference to an unknown id is counted and changes nothing else") {
+    def run(refs: Seq[Long]): KSirEngine = {
+      val eng = mk()
+      eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+      eng.advance(Bucket(2, Seq(el(2, 2, Seq(1, 2), Seq(0 -> 0.5, 1 -> 0.5), refs = refs))))
+      eng
+    }
+    def state(eng: KSirEngine) = (eng.activeElements.map(ae => (ae.elem.id, Children.of(ae))).toSeq,
+      eng.rankedList(0).toSeq, eng.rankedList(1).toSeq)
+    val plain = run(Seq(1L))
+    val unknown = run(Seq(1L, 99L, 98L))
+    assert(plain.unknownRefs == 0)
+    assert(unknown.unknownRefs == 2, "one per unknown reference")
+    assert(state(unknown) == state(plain))
+    unknown.advance(Bucket(3, Seq(el(3, 3, Seq(0), Seq(0 -> 1.0), refs = Seq(97L, 2L)))))
+    assert(unknown.unknownRefs == 3)
+    assert(Children.ids(unknown.activeElement(2).get) == Seq(3L))
+  }
+
+  test("activeElements scans A_t in admission order and a resurrected element re-enters at the end") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    eng.advance(Bucket(5, Seq(el(2, 5, Seq(1), Seq(0 -> 1.0)))))
+    eng.advance(Bucket(6, Seq.empty)) // window [3,6]: e1 leaves
+    assert(eng.activeElements.map(_.elem.id).toSeq == Seq(2L))
+    eng.advance(Bucket(7, Seq(el(3, 7, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), el(4, 7, Seq(0), Seq(0 -> 1.0)))))
+    assert(eng.activeElements.map(_.elem.id).toSeq == Seq(2L, 3L, 1L, 4L))
+  }
+
+  test("activeElements yields exactly A_t once per element in admission order over a long stream") {
+    // Enough elements per window and enough windows that the scan array both
+    // grows and is compacted several times; references reach back 7.5T, so
+    // discarded elements are resurrected.
+    val window = 200L
+    val g = repro.data.SocialStreamGen.generate(
+      repro.data.StreamConfig("order", 3000, 150, 6, 5, 2.0, 3000, 1500, seed = 5L))
+    val eng = new KSirEngine(g.model, window, 0.5, 5.0)
+    // The stream, then a gap longer than T that empties A_t, then one element.
+    val last = g.elements.last
+    val buckets = Bucket.bucketize(g.elements, 50, 3000) ++ Seq(Bucket(3400, Seq.empty),
+      Bucket(3401, Seq(g.elements.head.copy(id = 10000L, ts = 3401L, refs = Array(last.id)))))
+    var seen = Vector.empty[Element]
+    var order = Vector.empty[Long]
+    var resurrected = 0
+    buckets.foreach { b =>
+      // From scratch: A_t after the bucket, and the order in which its
+      // elements last entered A_t (a resurrection enters when referred).
+      val known = seen.map(_.id).toSet
+      var present = order.toSet
+      b.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
+        order :+= e.id
+        present += e.id
+        e.refs.foreach { pid =>
+          if (!present(pid) && known(pid)) { order :+= pid; present += pid; resurrected += 1 }
+        }
+      }
+      seen ++= b.elements
+      eng.advance(b)
+      val ws = b.endTs - window + 1
+      val inWindow = seen.filter(_.ts >= ws)
+      val expected = inWindow.map(_.id).toSet ++ inWindow.flatMap(_.refs).filter(known ++ b.elements.map(_.id))
+      order = order.filter(expected)
+      val actual = eng.activeElements.map(_.elem.id).toVector
+      assert(actual == order, s"A_t order at t=${b.endTs}")
+      assert(actual.size == eng.activeCount)
+    }
+    assert(resurrected > 0, "the stream must exercise resurrection")
+    assert(order == Vector(10000L, last.id))
+  }
 }

@@ -8,8 +8,9 @@ import scala.collection.mutable
 /** The scoring kernel (CandidateState over ActiveElement's flat arrays)
   * against Equations 2–4 evaluated from scratch from the elements, the topic
   * model and the window's child sets; the σ/R_i kernel against the tuple
-  * kernel it replaced; guards that a marginal gain and a child reference
-  * allocate nothing; and a guard on what an ActiveElement keeps alive.
+  * kernel it replaced; guards that a marginal gain, a child reference and a
+  * scan of A_t allocate nothing; and a guard on what an ActiveElement keeps
+  * alive.
   */
 class ScoringKernelSpec extends AnyFunSuite {
 
@@ -237,6 +238,26 @@ class ScoringKernelSpec extends AnyFunSuite {
     assert(dropped == calls)
     assert(perCall < 8.0, s"a child reference allocated $perCall bytes")
     assert(Children.of(parent) == Seq((1L, 1000L)))
+  }
+
+  test("a scan of A_t allocates nothing per element") {
+    val g = SocialStreamGen.generate(StreamConfig.twitter(3000, 3600, 35L))
+    val eng = new KSirEngine(g.model, 1800L, Lambda, Eta)
+    Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
+    assert(eng.activeCount >= 1000)
+    val scans = 20
+    def run(): Double = {
+      var sum = 0.0
+      var i = 0
+      while (i < scans) { eng.activeElements.foreach(ae => sum += ae.rScore(0)); i += 1 }
+      sum
+    }
+    (0 until 5).foreach(_ => run())
+    var sum = 0.0
+    val bytes = allocated { sum = run() }
+    assert(sum > 0.0)
+    val perElement = bytes.toDouble / (scans.toLong * eng.activeCount)
+    assert(perElement < 1.0, s"a scan allocated $perElement bytes per element")
   }
 
   test("ActiveElement keeps no collection, topic model or word bag as a field") {
