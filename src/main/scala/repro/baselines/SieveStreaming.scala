@@ -6,7 +6,8 @@ import repro.core._
   * active elements (in arbitrary order — no ranked lists), maintaining
   * geometric guesses φ of OPT and admitting an element to candidate S_φ when
   * its marginal gain reaches (φ/2 − f(S_φ)) / (k − |S_φ|).
-  * (1/2 − ε)-approximate; evaluates every active element once per candidate.
+  * (1/2 − ε)-approximate; evaluates every active element once per distinct
+  * candidate state.
   */
 object SieveStreaming {
 
@@ -21,16 +22,7 @@ object SieveStreaming {
     val probe = new CandidateState(engine, q)
     engine.activeElements.foreach { ae =>
       candidates.raise(probe.gain(ae))
-      var i = 0
-      while (i < candidates.size) {
-        val s = candidates.state(i)
-        if (s.size < k) {
-          val tau = (candidates.phi(i) / 2.0 - s.score) / (k - s.size)
-          val g = s.gain(ae)
-          if (g > 0.0 && g >= tau) s.add(ae)
-        }
-        i += 1
-      }
+      candidates.offer(ae, candidates.size, ThresholdCandidates.Sieve)
     }
 
     candidates.best(engine.activeCount)

@@ -41,34 +41,41 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
     rows
   }
 
-  /** R_i(e): semantic score per supported topic (static). */
-  val rScore: Array[Double] = sigma.map(ActiveElement.rowSum)
+  // Three doubles per supported topic j at `perTopic(3 * j + _)`: R_i(e)
+  // (static), Σ_{c ∈ children} p_i(c) with I_{i,t}(e) = p_i(e)·sum, and δ_i(e)
+  // as last written to the ranked lists, so an entry can be found and removed
+  // when the score changes (NaN while the element is not listed).
+  private val perTopic: Array[Double] = {
+    val a = new Array[Double](3 * topics.idx.length)
+    var j = 0
+    while (j < sigma.length) { a(3 * j) = ActiveElement.rowSum(sigma(j)); a(3 * j + 2) = Double.NaN; j += 1 }
+    a
+  }
 
-  /** δ_i(e) per supported topic as last written to the ranked lists, so an
-    * entry can be found and removed when the score changes; NaN while the
-    * element is not listed.
-    */
-  private[core] val listedDelta: Array[Double] = Array.fill(topics.idx.length)(Double.NaN)
+  /** R_i(e) for the topic in slot `j` (static). */
+  def rScore(j: Int): Double = perTopic(3 * j)
 
-  /** Σ_{c ∈ children} p_i(c) per supported topic; I_{i,t}(e) = p_i(e)·sum. */
-  private val childPSum: Array[Double] = new Array[Double](topics.idx.length)
+  private def childPSum(j: Int): Double = perTopic(3 * j + 1)
+
+  private[core] def listedDelta(j: Int): Double = perTopic(3 * j + 2)
+  private[core] def setListedDelta(j: Int, s: Double): Unit = perTopic(3 * j + 2) = s
 
   // In-window children (elements of W_t that refer to this element), one row
-  // per child in arrival order: id, ts, and p_i(c) per supported topic,
-  // child-major at `childPBuf(c * topics.idx.length + j)`. The three arrays
-  // share one capacity, counted in children.
+  // per child in arrival order: (id, ts) at `idTs(2 * c)` and `idTs(2 * c + 1)`,
+  // and p_i(c) per supported topic, child-major at
+  // `childPBuf(c * topics.idx.length + j)`. Both arrays share one capacity,
+  // counted in children.
   private var nChildren = 0
-  private var childIdBuf: Array[Long] = ActiveElement.NoLongs
-  private var childTsBuf: Array[Long] = ActiveElement.NoLongs
+  private var idTs: Array[Long] = ActiveElement.NoLongs
   private var childPBuf: Array[Double] = ActiveElement.NoDoubles
 
   /** Number of in-window children, and the id and ts of child `c < childCount`. */
   def childCount: Int = nChildren
-  def childId(c: Int): Long = childIdBuf(c)
-  def childTs(c: Int): Long = childTsBuf(c)
+  def childId(c: Int): Long = idTs(2 * c)
+  def childTs(c: Int): Long = idTs(2 * c + 1)
 
-  /** Child ids, valid up to `childCount`. */
-  private[core] def childIds: Array[Long] = childIdBuf
+  /** Child (id, ts) rows: the id of child c at `childIdTs(2 * c)`, valid up to `childCount` rows. */
+  private[core] def childIdTs: Array[Long] = idTs
 
   /** p_i(c) of each child c per supported topic i, child-major:
     * `childP(c * topics.idx.length + j)`, valid up to `childCount` rows.
@@ -99,20 +106,19 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
   private[core] def addChild(child: Element): Unit = {
     val ids = topics.idx
     val stride = ids.length
-    if (nChildren == childIdBuf.length) {
+    if (2 * nChildren == idTs.length) {
       val capacity = math.max(4, 2 * nChildren)
-      childIdBuf = java.util.Arrays.copyOf(childIdBuf, capacity)
-      childTsBuf = java.util.Arrays.copyOf(childTsBuf, capacity)
+      idTs = java.util.Arrays.copyOf(idTs, 2 * capacity)
       childPBuf = java.util.Arrays.copyOf(childPBuf, capacity * stride)
     }
-    childIdBuf(nChildren) = child.id
-    childTsBuf(nChildren) = child.ts
+    idTs(2 * nChildren) = child.id
+    idTs(2 * nChildren + 1) = child.ts
     val at = nChildren * stride
     var j = 0
     while (j < stride) {
       val p = child.topics(ids(j))
       childPBuf(at + j) = p
-      childPSum(j) += p
+      perTopic(3 * j + 1) += p
       j += 1
     }
     nChildren += 1
@@ -125,10 +131,10 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
     var kept = 0
     var c = 0
     while (c < before) {
-      if (childTsBuf(c) >= windowStart) {
+      if (idTs(2 * c + 1) >= windowStart) {
         if (kept != c) {
-          childIdBuf(kept) = childIdBuf(c)
-          childTsBuf(kept) = childTsBuf(c)
+          idTs(2 * kept) = idTs(2 * c)
+          idTs(2 * kept + 1) = idTs(2 * c + 1)
           System.arraycopy(childPBuf, c * stride, childPBuf, kept * stride, stride)
         }
         kept += 1
@@ -143,7 +149,7 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
       var s = 0.0
       c = 0
       while (c < kept) { s += childPBuf(c * stride + j); c += 1 }
-      childPSum(j) = s
+      perTopic(3 * j + 1) = s
       j += 1
     }
     true
@@ -414,15 +420,15 @@ final class KSirEngine(
     * means "not listed", and a NaN never equals the stored score.
     */
   private def relist(ae: ActiveElement, keep: Boolean): Unit = {
-    val listed = ae.listedDelta
     var j = 0
-    while (j < listed.length) {
+    while (j < ae.topics.idx.length) {
       val s = if (keep) ae.deltaAt(j) else Double.NaN
-      if (s != listed(j)) {
+      val listed = ae.listedDelta(j)
+      if (s != listed) {
         val list = lists(ae.topics.idx(j))
-        if (!java.lang.Double.isNaN(listed(j))) list.remove(listed(j), ae.elem.id)
+        if (!java.lang.Double.isNaN(listed)) list.remove(listed, ae.elem.id)
         if (keep) list.add(s, ae.elem.id)
-        listed(j) = s
+        ae.setListedDelta(j, s)
       }
       j += 1
     }

@@ -28,13 +28,10 @@ object MTTS {
       val ae = cursor.popMax()
       val deltaE = engine.deltaScore(ae, q)
       candidates.raise(deltaE)
+      var until = 0
+      while (until < candidates.size && candidates.tau(until) <= deltaE) until += 1
+      candidates.offer(ae, until, ThresholdCandidates.ReachesTau)
       var i = 0
-      while (i < candidates.size && candidates.tau(i) <= deltaE) {
-        val s = candidates.state(i)
-        if (s.size < k && s.gain(ae) >= candidates.tau(i)) s.add(ae)
-        i += 1
-      }
-      i = 0
       while (i < candidates.size && candidates.state(i).size >= k) i += 1
       th = if (i < candidates.size) candidates.tau(i) else if (i == 0) 0.0 else Double.PositiveInfinity
       ub = cursor.upperBound

@@ -14,7 +14,7 @@ import scala.collection.mutable
   *
   * A query naming a topic outside [0, z) is rejected on construction.
   */
-final class CandidateState(engine: KSirEngine, val q: QueryVector) {
+final class CandidateState(engine: KSirEngine, val q: QueryVector) extends CandidateView {
   engine.requireQueryTopics(q)
 
   private val lambda = engine.lambda
@@ -33,6 +33,20 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
   def size: Int = memberIds.length
   def score: Double = fScore
   def contains(id: Long): Boolean = memberIds.contains(id)
+
+  /** An independent state with the same members, coverage and f(S, x). */
+  def copy(): CandidateState = {
+    val c = new CandidateState(engine, q)
+    var i = 0
+    while (i < q.d) {
+      c.covered(i) = covered(i).copy()
+      c.prodComp(i) = prodComp(i).copy()
+      i += 1
+    }
+    c.memberIds ++= memberIds
+    c.fScore = fScore
+    c
+  }
 
   /** Δ(e|S) = f(S ∪ {e}, x) − f(S, x). Does not mutate state. */
   def gain(ae: ActiveElement): Double = marginal(ae, commit = false)
@@ -54,7 +68,7 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
     val words = ae.wordIds
     val childP = ae.childP
     val stride = topics.idx.length
-    val childIds = ae.childIds
+    val childIdTs = ae.childIdTs
     val nChildren = ae.childCount
     var total = 0.0
     var qi = 0
@@ -81,7 +95,7 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
         while (c < nChildren) {
           val pc = childP(c * stride + j)
           if (pc > 0.0) {
-            val id = childIds(c)
+            val id = childIdTs(2 * c)
             val prod = prods.getOrElse(id, 1.0)
             if (commit) {
               val p = pe * pc
@@ -97,6 +111,16 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
     }
     total
   }
+}
+
+/** What a reader that does not own a [[CandidateState]] may see of it: a
+  * state that several threshold candidates share changes only through
+  * [[ThresholdCandidates.offer]].
+  */
+sealed trait CandidateView {
+  def members: Seq[Long]
+  def size: Int
+  def score: Double
 }
 
 /** Hash map from Long keys to Double values by open addressing with linear
@@ -142,6 +166,19 @@ private[core] final class LongDoubleMap {
     used(i) = true; keys(i) = key; vals(i) = value
     n += 1
     if (2 * n > keys.length) resize(2 * keys.length)
+  }
+
+  /** An independent map with the same entries: both can change without the other. */
+  def copy(): LongDoubleMap = {
+    val m = new LongDoubleMap
+    if (n > 0) {
+      m.keys = keys.clone
+      m.vals = vals.clone
+      m.used = used.clone
+      m.shift = shift
+      m.n = n
+    }
+    m
   }
 
   /** Fibonacci hashing: the top bits of key·2⁶⁴/φ, which mix every key bit. */

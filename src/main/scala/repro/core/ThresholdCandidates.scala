@@ -3,8 +3,13 @@ package repro.core
 /** The candidate sets of the threshold algorithms (MTTS and SieveStreaming,
   * Badanidiyuru et al., KDD'14): one set S_j per guess φ_j = (1+ε)^j of OPT in
   * Φ = { φ_j : δmax ≤ φ_j ≤ 2k·δmax }, where δmax is the largest singleton
-  * score seen so far. Candidates are held in ascending j; how an element is
-  * admitted to a candidate is the caller's rule.
+  * score seen so far. Candidates are held in ascending j.
+  *
+  * Candidates whose member sequences are equal hold one shared
+  * [[CandidateState]], and each shared state is held by one contiguous run of
+  * j (DESIGN §6c). [[offer]] computes one gain per run; the candidates of a run
+  * that admit the element form a prefix of it, which takes a copy of the state
+  * unless it is the whole run.
   */
 final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double) {
 
@@ -21,23 +26,59 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
   /** φ_j, τ_j = φ_j / 2k and S_j of the candidate at position `i`. */
   def phi(i: Int): Double = phis(i)
   def tau(i: Int): Double = taus(i)
-  def state(i: Int): CandidateState = states(i)
+  def state(i: Int): CandidateView = states(i)
 
   /** On a new δmax = `delta`, moves Φ to the new range, keeping the candidates
-    * still inside it and opening empty ones for the new guesses.
+    * still inside it and opening the new guesses, which come above every kept
+    * one, on one empty state: the top kept state if it is empty, else a fresh
+    * one.
     */
   def raise(delta: Double): Unit = if (delta > deltaMax) {
     deltaMax = delta
     val lo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
     val hi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
     val open = states
-    states = Array.tabulate(math.max(0, hi - lo + 1)) { i =>
-      val old = lo + i - jLo
-      if (old >= 0 && old < open.length) open(old) else new CandidateState(engine, q)
+    val n = math.max(0, hi - lo + 1)
+    val from = math.max(0, lo - jLo)
+    val kept = math.max(0, math.min(n, open.length - from))
+    states = new Array[CandidateState](n)
+    if (kept > 0) System.arraycopy(open, from, states, 0, kept)
+    if (kept < n) {
+      val empty = if (kept > 0 && states(kept - 1).size == 0) states(kept - 1) else new CandidateState(engine, q)
+      java.util.Arrays.fill(states.asInstanceOf[Array[AnyRef]], kept, n, empty)
     }
-    phis = Array.tabulate(states.length)(i => math.pow(1.0 + epsilon, lo + i))
+    phis = Array.tabulate(n)(i => math.pow(1.0 + epsilon, lo + i))
     taus = phis.map(_ / (2.0 * k))
     jLo = lo
+  }
+
+  /** Offers e to the unfilled candidates at positions below `until`, each
+    * admitting it by `rule`. Per run of candidates sharing a state S it
+    * computes Δ(e|S) once. The rule's least admitting gain does not fall as j
+    * rises within a run, so the admitting candidates are a prefix of it: e is
+    * added to S in place when that prefix is the whole run, and otherwise the
+    * prefix moves to a copy of S with e added.
+    */
+  def offer(ae: ActiveElement, until: Int, rule: ThresholdCandidates.Rule): Unit = {
+    var a = 0
+    while (a < until) {
+      val s = states(a)
+      var b = a + 1
+      while (b < states.length && (states(b) eq s)) b += 1
+      if (s.size < k) {
+        val g = s.gain(ae)
+        val end = math.min(b, until)
+        var p = a
+        while (p < end && rule.admits(g, phis(p), taus(p), s, k)) p += 1
+        if (p == b) s.add(ae)
+        else if (p > a) {
+          val split = s.copy()
+          split.add(ae)
+          java.util.Arrays.fill(states.asInstanceOf[Array[AnyRef]], a, p, split)
+        }
+      }
+      a = b
+    }
   }
 
   /** The highest-scoring candidate (the first in j on a tie), or the empty
@@ -46,5 +87,28 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
   def best(evaluated: Int): KSirResult = states.maxByOption(_.score) match {
     case Some(s) => KSirResult(s.members, s.score, evaluated, evaluated)
     case None    => KSirResult(Seq.empty, 0.0, evaluated, evaluated)
+  }
+}
+
+object ThresholdCandidates {
+
+  /** When candidate S_j admits e, given g = Δ(e|S_j). Among candidates that
+    * share S, the least admitting g never falls as φ_j rises.
+    */
+  sealed abstract class Rule {
+    private[core] def admits(g: Double, phi: Double, tau: Double, s: CandidateState, k: Int): Boolean
+  }
+
+  /** MTTS: g ≥ τ_j, and τ_j ascends in j. */
+  object ReachesTau extends Rule {
+    private[core] def admits(g: Double, phi: Double, tau: Double, s: CandidateState, k: Int): Boolean = g >= tau
+  }
+
+  /** SieveStreaming: g > 0 and g ≥ (φ_j/2 − f(S_j)) / (k − |S_j|), which
+    * ascends in j where f(S_j) and |S_j| are the same.
+    */
+  object Sieve extends Rule {
+    private[core] def admits(g: Double, phi: Double, tau: Double, s: CandidateState, k: Int): Boolean =
+      g > 0.0 && g >= (phi / 2.0 - s.score) / (k - s.size)
   }
 }

@@ -157,4 +157,52 @@ class BaselinesSpec extends AnyFunSuite {
         }
     }
   }
+
+  /** SieveStreaming as it ran before threshold candidates shared states: every
+    * candidate, on its own state, is tested on every active element.
+    */
+  private def unsharedSieve(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double): KSirResult = {
+    val candidates = new UnsharedCandidates(engine, q, k, epsilon)
+    val probe = new CandidateState(engine, q)
+    engine.activeElements.foreach { ae =>
+      candidates.raise(probe.gain(ae))
+      var i = 0
+      while (i < candidates.size) {
+        val s = candidates.state(i)
+        if (s.size < k) {
+          val tau = (candidates.phi(i) / 2.0 - s.score) / (k - s.size)
+          val g = s.gain(ae)
+          if (g > 0.0 && g >= tau) s.add(ae)
+        }
+        i += 1
+      }
+    }
+    candidates.best(engine.activeCount)
+  }
+
+  test("SieveStreaming equals the Sieve with unshared candidate states in ids, order, score and counts") {
+    val engines = Seq(
+      SocialStreamGen.generate(StreamConfig.aminer(500, 3600, 71L)),
+      SocialStreamGen.generate(StreamConfig.twitter(2000, 3600, 73L)),
+    ).map { g =>
+      val e = new KSirEngine(g.model, 2400, 0.5, 5.0)
+      Bucket.bucketize(g.elements, 300, 3600).foreach(e.advance)
+      (e, g.model.z)
+    } ++ (0L to 4L).map(seed => (PropStreams.engine(seed), 8))
+    val rnd = new scala.util.Random(101)
+    engines.zipWithIndex.foreach { case ((e, z), n) =>
+      (0 until 30).foreach { trial =>
+        val topics = Seq.fill(1 + rnd.nextInt(3))(rnd.nextInt(z)).distinct
+        val q = QueryVector(topics.map(t => t -> (0.1 + rnd.nextDouble())): _*)
+        val k = 1 + rnd.nextInt(15)
+        val eps = Seq(0.01, 0.1, 0.3)(rnd.nextInt(3))
+        val got = SieveStreaming.query(e, q, k, eps)
+        val want = unsharedSieve(e, q, k, eps)
+        val what = s"engine $n trial $trial k=$k ε=$eps"
+        assert(got.elements == want.elements, what)
+        assert(java.lang.Double.doubleToRawLongBits(got.score) == java.lang.Double.doubleToRawLongBits(want.score), what)
+        assert(got.evaluated == want.evaluated && got.retrieved == want.retrieved, what)
+      }
+    }
+  }
 }

@@ -52,4 +52,20 @@ class LongDoubleMapSpec extends AnyFunSuite {
     keys.zipWithIndex.foreach { case (k, i) => assert(m.getOrElse(k, -1.0) == i.toDouble) }
     assert(m.getOrElse((3000L << 32) | 0x5L, -1.0) == -1.0)
   }
+
+  test("a copy and its original diverge independently, through growth, keeping all keys") {
+    assert(new LongDoubleMap().copy().size == 0)
+    val m = new LongDoubleMap
+    (0L until 5L).foreach(k => m(k) = k.toDouble)
+    val c = m.copy()
+    (5L until 1000L).foreach(k => m(k) = k.toDouble)
+    (0L until 5L).foreach(k => c(k) = -1.0 - k)
+    (-500L until 0L).foreach(k => c(k) = 2.0 * k)
+    assert(m.size == 1000 && c.size == 505)
+    (0L until 1000L).foreach(k => assert(m.getOrElse(k, Double.NaN) == k.toDouble, s"original key $k"))
+    (-500L until 0L).foreach(k => assert(!m.contains(k), s"original key $k"))
+    (0L until 5L).foreach(k => assert(c.getOrElse(k, Double.NaN) == -1.0 - k, s"copy key $k"))
+    (-500L until 0L).foreach(k => assert(c.getOrElse(k, Double.NaN) == 2.0 * k, s"copy key $k"))
+    (5L until 1000L).foreach(k => assert(!c.contains(k), s"copy key $k"))
+  }
 }

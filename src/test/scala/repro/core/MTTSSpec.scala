@@ -82,12 +82,13 @@ class MTTSSpec extends AnyFunSuite {
     }
   }
 
-  /** Algorithm 2 with no use of Φ's order: every candidate is tested on every
-    * retrieved element, and TH is the minimum over all unfilled candidates.
+  /** Algorithm 2 with no use of Φ's order: every candidate, each on its own
+    * state, is tested on every retrieved element, and TH is the minimum over
+    * all unfilled candidates.
     */
   private def fullScanMtts(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double): KSirResult = {
     val cursor = new RankedListCursor(engine, q)
-    val candidates = new ThresholdCandidates(engine, q, k, epsilon)
+    val candidates = new UnsharedCandidates(engine, q, k, epsilon)
     var th = 0.0
     while (!cursor.exhausted && cursor.upperBound >= th && cursor.upperBound > 0.0) {
       val ae = cursor.popMax()

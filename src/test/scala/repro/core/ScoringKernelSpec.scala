@@ -267,6 +267,12 @@ class ScoringKernelSpec extends AnyFunSuite {
         (t == classOf[SparseVec] && f.getName != "topics")
     }
     assert(held.isEmpty, held.map(f => s"${f.getName}: ${f.getType.getName}").mkString(", "))
+    // The per-topic scalars share one array, and so do the child (id, ts) rows:
+    // two Array[Double] (per-topic scalars, child p rows) and one Array[Long].
+    val arrays = classOf[ActiveElement].getDeclaredFields.toSeq.filter(_.getType.isArray)
+    val what = arrays.map(f => s"${f.getName}: ${f.getType.getSimpleName}").mkString(", ")
+    assert(arrays.count(_.getType == classOf[Array[Double]]) == 2, what)
+    assert(arrays.count(_.getType == classOf[Array[Long]]) == 1, what)
   }
 
   /** Bytes the current thread allocates while running `body`. */

@@ -77,6 +77,28 @@ class ScoringPropertiesSpec extends AnyFunSuite {
     }
   }
 
+  test("a copied CandidateState and its original take different elements, each bit-equal to a state built from scratch") {
+    def bits(x: Double): Long = java.lang.Double.doubleToRawLongBits(x)
+    for (seed <- 0L to 4L; q <- queries(seed)) {
+      val eng = mkEngine(seed)
+      val active = eng.activeElements.toSeq.sortBy(_.elem.id)
+      val (shared, rest) = active.splitAt(3)
+      val (left, right) = rest.take(8).splitAt(4)
+      val orig = new CandidateState(eng, q)
+      shared.foreach(orig.add)
+      val copy = orig.copy()
+      left.foreach(orig.add)
+      right.foreach(copy.add)
+      Seq((orig, shared ++ left), (copy, shared ++ right)).foreach { case (s, members) =>
+        val fresh = new CandidateState(eng, q)
+        members.foreach(fresh.add)
+        assert(s.members == fresh.members)
+        assert(bits(s.score) == bits(fresh.score), s"seed $seed")
+        active.foreach(ae => assert(bits(s.gain(ae)) == bits(fresh.gain(ae)), s"seed $seed e${ae.elem.id}"))
+      }
+    }
+  }
+
   test("gain does not mutate state: two consecutive gains agree") {
     for (seed <- 0L to 4L; q <- queries(seed)) {
       val eng = mkEngine(seed)

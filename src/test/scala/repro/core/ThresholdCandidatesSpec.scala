@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.{SocialStreamGen, StreamConfig}
 
 /** The Φ = {(1+ε)^j} candidate sets shared by MTTS and SieveStreaming. */
 class ThresholdCandidatesSpec extends AnyFunSuite {
@@ -34,13 +35,40 @@ class ThresholdCandidatesSpec extends AnyFunSuite {
     val eng = engine
     val c = new ThresholdCandidates(eng, QueryVector(0 -> 1.0), k = 2, epsilon = 0.1)
     assert(c.best(7) == KSirResult(Seq.empty, 0.0, 7, 7))
-    c.raise(1.0)
-    c.state(3).add(eng.activeElement(2).get)
-    c.state(4).add(eng.activeElement(1).get)
+    // Every τ_j is below a singleton's gain λ·ln 2 / 2 ≈ 0.17 here, so
+    // `until` alone decides which candidates admit an element.
+    c.raise(0.1) // j = -24 .. -10
+    c.offer(eng.activeElement(2).get, 4, ThresholdCandidates.ReachesTau) // S_0..S_3 = {2}
+    c.offer(eng.activeElement(1).get, 5, ThresholdCandidates.ReachesTau) // 1 adds nothing to {2}: S_4 = {1}
     assert(c.state(3).score == c.state(4).score && c.state(3).score > 0.0)
     assert(c.best(7) == KSirResult(Seq(2L), c.state(3).score, 7, 7))
-    c.state(6).add(eng.activeElement(1).get)
-    c.state(6).add(eng.activeElement(3).get)
+    c.raise(math.pow(1.1, -20)) // j = -20 .. -6: {2} leaves Φ, {1} is first
+    c.offer(eng.activeElement(3).get, 1, ThresholdCandidates.ReachesTau)
     assert(c.best(7).elements == Seq(1L, 3L))
+  }
+
+  test("candidates share one state exactly while their member sequences are equal, each in one run of j") {
+    val g = SocialStreamGen.generate(StreamConfig.aminer(300, 3600, 89L))
+    val eng = new KSirEngine(g.model, 2400, 0.5, 5.0)
+    Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
+    val rnd = new scala.util.Random(97)
+    var mostRuns = 0
+    Seq("ReachesTau" -> ThresholdCandidates.ReachesTau, "Sieve" -> ThresholdCandidates.Sieve).foreach { case (name, rule) =>
+      (0 until 10).foreach { trial =>
+        val q = QueryVector(rnd.nextInt(g.model.z) -> 1.0)
+        val c = new ThresholdCandidates(eng, q, 1 + rnd.nextInt(10), 0.1)
+        val probe = new CandidateState(eng, q)
+        eng.activeElements.foreach { ae =>
+          c.raise(probe.gain(ae))
+          c.offer(ae, rnd.nextInt(c.size + 1), rule)
+          val runs = (0 until c.size).filter(i => i == 0 || !(c.state(i) eq c.state(i - 1))).map(c.state)
+          val what = s"$name trial $trial e${ae.elem.id}"
+          assert(runs.indices.forall(a => runs.indices.forall(b => a == b || !(runs(a) eq runs(b)))), s"$what: a state in two runs")
+          assert(runs.map(_.members).distinct.size == runs.size, s"$what: equal members in two states")
+          mostRuns = math.max(mostRuns, runs.size)
+        }
+      }
+    }
+    assert(mostRuns >= 3, "candidates split into runs")
   }
 }
