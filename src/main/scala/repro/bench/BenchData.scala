@@ -38,16 +38,14 @@ object BenchData {
     val g = SocialStreamGen.generate(cfg)
     val buckets = Bucket.bucketize(g.elements, BucketL, SpanSeconds)
     // Derive η from a warmed window: mean per-topic influence over mean
-    // per-topic semantic score, so both terms of Equation 2 matter.
+    // per-topic semantic score, so both terms of Equation 2 matter. Summed in
+    // id order, so η depends on the stream and not on the engine's scan order.
     val probe = new KSirEngine(g.model, WindowT, Lambda, eta = 1.0)
     buckets.takeWhile(_.endTs <= WindowT).foreach(probe.advance)
     var rSum = 0.0
     var iSum = 0.0
-    var n = 0
-    probe.activeElements.foreach { ae =>
-      ae.elem.topics.foreach { case (t, _) =>
-        rSum += ae.semantic(t); iSum += ae.influence(t); n += 1
-      }
+    probe.activeElements.toArray.sortBy(_.elem.id).foreach { ae =>
+      ae.elem.topics.foreach { case (t, _) => rSum += ae.semantic(t); iSum += ae.influence(t) }
     }
     val eta = math.max(0.05, if (rSum > 0) iSum / rSum else 1.0)
     Dataset(cfg.name, g, eta, buckets)

@@ -212,22 +212,24 @@ final class KSirEngine(
   require(lambda >= 0 && lambda <= 1, "λ must lie in [0,1]")
   require(eta > 0, "η must be positive")
 
-  /** A_t by id: the index for references, expiry events and cursor heads. */
-  private val active = mutable.LongMap.empty[ActiveElement]
+  /** Every element ever seen, by id: its [[ActiveElement]] while it is in
+    * A_t, and its [[Element]] once it has left, so a reference to a
+    * discarded element can resurrect it (the paper's A_t = W_t ∪ refs(W_t)
+    * readmits any element a window element refers to — e.g. e2 leaves A_6 but
+    * is back in A_8 of Table 1 via e7's reference). The one index for
+    * references, expiry events and cursor heads. A production system would
+    * bound it by the maximum reference lookback; the repro keeps the stream.
+    */
+  private val index = mutable.LongMap.empty[AnyRef]
+
+  /** n_t: the entries of `index` that hold an [[ActiveElement]]. */
+  private var nActive = 0
 
   /** A_t in admission order for full scans: `scan(0 until scanEnd)`, null
     * where an element left (see DESIGN §6c). An element sits at its `pos`.
     */
   private var scan = new Array[ActiveElement](64)
   private var scanEnd = 0
-
-  /** All elements ever seen, so a reference to a previously-discarded
-    * element can resurrect it (the paper's A_t = W_t ∪ refs(W_t) readmits
-    * any element a window element refers to — e.g. e2 leaves A_6 but is back
-    * in A_8 of Table 1 via e7's reference). A production system would bound
-    * this by the maximum reference lookback; the repro keeps the stream.
-    */
-  private val archive = mutable.LongMap.empty[Element]
 
   /** Ranked list RL_i per topic i. */
   private val lists: Array[RankedList] = Array.fill(model.z)(new RankedList)
@@ -246,7 +248,7 @@ final class KSirEngine(
   def now: Long = nowTs
 
   /** Number of active elements n_t. */
-  def activeCount: Int = active.size
+  def activeCount: Int = nActive
 
   /** References, over all buckets so far, to an id that was never ingested;
     * each is otherwise ignored.
@@ -272,16 +274,19 @@ final class KSirEngine(
     }
   }
 
-  def activeElement(id: Long): Option[ActiveElement] = active.get(id)
+  def activeElement(id: Long): Option[ActiveElement] = Option(activeOrNull(id))
 
   /** The active element with this id, or null; allocates nothing. */
-  private[core] def activeOrNull(id: Long): ActiveElement = active.getOrNull(id)
+  private[core] def activeOrNull(id: Long): ActiveElement = index.getOrNull(id) match {
+    case ae: ActiveElement => ae
+    case _                 => null
+  }
 
   /** Total references received inside the window by any active element —
     * used by the influence-aware baselines and the Table 6 metric.
     */
   def childCount(id: Long): Int = {
-    val ae = active.getOrNull(id)
+    val ae = activeOrNull(id)
     if (ae == null) 0 else ae.childCount
   }
 
@@ -297,7 +302,7 @@ final class KSirEngine(
     // A_t), no element names a parent twice (Equation 4 covers the set of
     // referrers), and a reference into the bucket names an element strictly
     // earlier in the (ts, id) order the bucket is replayed in (a later one,
-    // or the element itself, is not yet in `archive` when the reference is
+    // or the element itself, is not yet in `index` when the reference is
     // applied, so the reference would be lost).
     val byId = bucket.elements.toArray
     java.util.Arrays.sort(byId, KSirEngine.ById)
@@ -305,7 +310,7 @@ final class KSirEngine(
     var i = 0
     while (i < ids.length) {
       ids(i) = byId(i).id
-      require(!archive.contains(ids(i)) && (i == 0 || ids(i) != ids(i - 1)), s"duplicate element id ${ids(i)}")
+      require(!index.contains(ids(i)) && (i == 0 || ids(i) != ids(i - 1)), s"duplicate element id ${ids(i)}")
       i += 1
     }
     bucket.elements.foreach { e =>
@@ -344,17 +349,16 @@ final class KSirEngine(
     // (ts, id) order, so a parent from the same bucket is inserted before
     // its children's refs are applied.
     bucket.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
-      archive(e.id) = e
       admit(e)
       events.push(e.ts, e.id)
       e.refs.foreach { pid =>
-        var parent = active.getOrNull(pid)
         // Resurrect a discarded element the moment it is referred again: it
         // re-enters A_t with no in-window children (any earlier child would
         // have kept it active in the first place).
-        if (parent == null) {
-          val old = archive.getOrNull(pid)
-          if (old != null) parent = admit(old) else nUnknownRefs += 1
+        val parent = index.getOrNull(pid) match {
+          case ae: ActiveElement => ae
+          case old: Element      => admit(old)
+          case _                 => nUnknownRefs += 1; null
         }
         if (parent != null) {
           parent.addChild(e)
@@ -373,12 +377,15 @@ final class KSirEngine(
     // refresh their influence scores. (The paper's Algorithm 1 only deletes
     // expired tuples; refreshing parents of expired children is required for
     // δ_i to match Equation 4 exactly — see DESIGN §6b.) Stale events find
-    // their id absent, or still referred.
+    // their id inactive, or still referred. A leaving element's index entry
+    // goes back to its `Element`.
     while (events.nonEmpty && events.minTs < windowStart) {
-      active.get(events.popId()).foreach { ae =>
+      val ae = activeOrNull(events.popId())
+      if (ae != null) {
         if (ae.lastReferred < windowStart) {
           relist(ae, keep = false)
-          active.remove(ae.elem.id)
+          index(ae.elem.id) = ae.elem
+          nActive -= 1
           scan(ae.pos) = null
         } else if (ae.expireChildren(windowStart)) relist(ae, keep = true)
       }
@@ -391,13 +398,14 @@ final class KSirEngine(
   private def admit(e: Element): ActiveElement = {
     val ae = new ActiveElement(e, model, lambda, eta)
     if (scanEnd == scan.length) {
-      if (2 * active.size <= scan.length) compactScan()
+      if (2 * nActive <= scan.length) compactScan()
       else scan = java.util.Arrays.copyOf(scan, 2 * scan.length)
     }
     ae.pos = scanEnd
     scan(scanEnd) = ae
     scanEnd += 1
-    active(e.id) = ae
+    index(e.id) = ae
+    nActive += 1
     relist(ae, keep = true)
     ae
   }
@@ -465,7 +473,7 @@ final class KSirEngine(
   /** Evaluate f(S, x) from scratch (used by tests and set-valued baselines). */
   def evaluate(ids: Iterable[Long], q: QueryVector): Double = {
     val cs = new CandidateState(this, q)
-    ids.foreach(id => active.get(id).foreach(cs.add))
+    ids.foreach(id => activeElement(id).foreach(cs.add))
     cs.score
   }
 }

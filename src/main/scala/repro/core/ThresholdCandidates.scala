@@ -3,15 +3,17 @@ package repro.core
 /** The candidate sets of the threshold algorithms (MTTS and SieveStreaming,
   * Badanidiyuru et al., KDD'14): one set S_j per guess φ_j = (1+ε)^j of OPT in
   * Φ = { φ_j : δmax ≤ φ_j ≤ 2k·δmax }, where δmax is the largest singleton
-  * score seen so far. Candidates are held in ascending j.
+  * score seen so far. Candidates are held in ascending j, and each admits an
+  * element by `rule`.
   *
   * Candidates whose member sequences are equal hold one shared
   * [[CandidateState]], and each shared state is held by one contiguous run of
   * j (DESIGN §6c). [[offer]] computes one gain per run; the candidates of a run
   * that admit the element form a prefix of it, which takes a copy of the state
-  * unless it is the whole run.
+  * unless it is the whole run. The least gain that any unfilled candidate
+  * admits, the [[floor]], is cached until a raise or an admission.
   */
-final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double) {
+final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double, rule: ThresholdCandidates.Rule) {
 
   private val logBase = math.log1p(epsilon)
   private var jLo = 0
@@ -19,6 +21,8 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
   private var phis = new Array[Double](0)
   private var taus = new Array[Double](0)
   private var states = new Array[CandidateState](0)
+  private var floorValue = 0.0
+  private var floorValid = false
 
   /** Number of open candidates |Φ|. */
   def size: Int = states.length
@@ -27,6 +31,26 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
   def phi(i: Int): Double = phis(i)
   def tau(i: Int): Double = taus(i)
   def state(i: Int): CandidateView = states(i)
+
+  /** The least gain that any unfilled candidate admits: the minimum, over the
+    * runs of unfilled candidates, of the rule's threshold at the run's first
+    * candidate, where it is least in the run. It is 0 before Φ opens and +∞
+    * once every candidate is full.
+    */
+  def floor: Double = {
+    if (!floorValid) {
+      var least = if (states.length == 0) 0.0 else Double.PositiveInfinity
+      var a = 0
+      while (a < states.length) {
+        val s = states(a)
+        if (s.size < k) least = math.min(least, rule.threshold(phis(a), taus(a), s, k))
+        a = runEnd(a)
+      }
+      floorValue = least
+      floorValid = true
+    }
+    floorValue
+  }
 
   /** On a new δmax = `delta`, moves Φ to the new range, keeping the candidates
     * still inside it and opening the new guesses, which come above every kept
@@ -50,35 +74,46 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
     phis = Array.tabulate(n)(i => math.pow(1.0 + epsilon, lo + i))
     taus = phis.map(_ / (2.0 * k))
     jLo = lo
+    floorValid = false
   }
 
-  /** Offers e to the unfilled candidates at positions below `until`, each
-    * admitting it by `rule`. Per run of candidates sharing a state S it
-    * computes Δ(e|S) once. The rule's least admitting gain does not fall as j
-    * rises within a run, so the admitting candidates are a prefix of it: e is
-    * added to S in place when that prefix is the whole run, and otherwise the
-    * prefix moves to a copy of S with e added.
+  /** Offers e to the unfilled candidates, each judging it by the rule on
+    * min(Δ(e|S), `bound`), where `bound` is a caller's upper limit on what e
+    * may contribute. Nothing is computed unless the rule admits `bound` at the
+    * [[floor]], and a run whose first candidate does not admit `bound` is
+    * skipped. Per run of candidates sharing a state S it computes Δ(e|S) once.
+    * The rule's threshold does not fall as j rises within a run, so the
+    * admitting candidates are a prefix of it: e is added to S in place when
+    * that prefix is the whole run, and otherwise the prefix moves to a copy of
+    * S with e added.
     */
-  def offer(ae: ActiveElement, until: Int, rule: ThresholdCandidates.Rule): Unit = {
+  def offer(ae: ActiveElement, bound: Double): Unit = if (rule.admits(bound, floor)) {
     var a = 0
-    while (a < until) {
+    while (a < states.length) {
       val s = states(a)
-      var b = a + 1
-      while (b < states.length && (states(b) eq s)) b += 1
-      if (s.size < k) {
-        val g = s.gain(ae)
-        val end = math.min(b, until)
+      val b = runEnd(a)
+      if (s.size < k && rule.admits(bound, rule.threshold(phis(a), taus(a), s, k))) {
+        val g = math.min(s.gain(ae), bound)
         var p = a
-        while (p < end && rule.admits(g, phis(p), taus(p), s, k)) p += 1
+        while (p < b && rule.admits(g, rule.threshold(phis(p), taus(p), s, k))) p += 1
         if (p == b) s.add(ae)
         else if (p > a) {
           val split = s.copy()
           split.add(ae)
           java.util.Arrays.fill(states.asInstanceOf[Array[AnyRef]], a, p, split)
         }
+        if (p > a) floorValid = false
       }
       a = b
     }
+  }
+
+  /** The position after the run of candidates sharing the state at `a`. */
+  private def runEnd(a: Int): Int = {
+    val s = states(a)
+    var b = a + 1
+    while (b < states.length && (states(b) eq s)) b += 1
+    b
   }
 
   /** The highest-scoring candidate (the first in j on a tie), or the empty
@@ -92,23 +127,27 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
 
 object ThresholdCandidates {
 
-  /** When candidate S_j admits e, given g = Δ(e|S_j). Among candidates that
-    * share S, the least admitting g never falls as φ_j rises.
+  /** When candidate S_j admits e: on a judged gain g that reaches the
+    * candidate's threshold. Among candidates that share S, the threshold never
+    * falls as φ_j rises.
     */
   sealed abstract class Rule {
-    private[core] def admits(g: Double, phi: Double, tau: Double, s: CandidateState, k: Int): Boolean
+    private[core] def threshold(phi: Double, tau: Double, s: CandidateState, k: Int): Double
+    private[core] def admits(g: Double, threshold: Double): Boolean
   }
 
   /** MTTS: g ≥ τ_j, and τ_j ascends in j. */
   object ReachesTau extends Rule {
-    private[core] def admits(g: Double, phi: Double, tau: Double, s: CandidateState, k: Int): Boolean = g >= tau
+    private[core] def threshold(phi: Double, tau: Double, s: CandidateState, k: Int): Double = tau
+    private[core] def admits(g: Double, threshold: Double): Boolean = g >= threshold
   }
 
   /** SieveStreaming: g > 0 and g ≥ (φ_j/2 − f(S_j)) / (k − |S_j|), which
     * ascends in j where f(S_j) and |S_j| are the same.
     */
   object Sieve extends Rule {
-    private[core] def admits(g: Double, phi: Double, tau: Double, s: CandidateState, k: Int): Boolean =
-      g > 0.0 && g >= (phi / 2.0 - s.score) / (k - s.size)
+    private[core] def threshold(phi: Double, tau: Double, s: CandidateState, k: Int): Double =
+      (phi / 2.0 - s.score) / (k - s.size)
+    private[core] def admits(g: Double, threshold: Double): Boolean = g > 0.0 && g >= threshold
   }
 }

@@ -195,9 +195,14 @@ object SocialStreamGen {
     Generated(model, out.toIndexedSeq, config)
   }
 
+  /** Drops the indices of elements older than `minTs`. A pool holds indices
+    * in increasing order and ts does not fall as the index rises, so they
+    * are a prefix.
+    */
   private def trimPool(pool: mutable.ArrayBuffer[Int], out: mutable.ArrayBuffer[Element], minTs: Long): Unit = {
-    val kept = pool.filter(i => out(i).ts >= minTs)
-    pool.clear(); pool ++= kept
+    var n = 0
+    while (n < pool.length && out(pool(n)).ts < minTs) n += 1
+    pool.remove(0, n)
   }
 
   /** Running sums of `p`, added left to right: the cumulative distribution

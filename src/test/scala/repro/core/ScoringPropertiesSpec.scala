@@ -99,6 +99,33 @@ class ScoringPropertiesSpec extends AnyFunSuite {
     }
   }
 
+  test("a gain never exceeds the singleton gain, as raw doubles: Δ(e|S) ≤ Δ(e|∅)") {
+    val aminer = SocialStreamGen.generate(repro.data.StreamConfig.aminer(400, 3600, 61L))
+    val dense = new KSirEngine(aminer.model, 2400, 0.5, 5.0)
+    Bucket.bucketize(aminer.elements, 300, 3600).foreach(dense.advance)
+    val engines = (0L to 6L).map(seed => (mkEngine(seed), queries(seed))) :+
+      (dense, Seq(QueryVector(3 -> 1.0), QueryVector(7 -> 0.3, 19 -> 0.7), QueryVector(1 -> 0.2, 2 -> 0.5, 40 -> 0.3)))
+    val rnd = new scala.util.Random(59)
+    var strictlyLess = 0
+    engines.zipWithIndex.foreach { case ((eng, qs), n) =>
+      val active = eng.activeElements.toIndexedSeq
+      qs.foreach { q =>
+        val empty = new CandidateState(eng, q)
+        (0 until 8).foreach { trial =>
+          val s = new CandidateState(eng, q)
+          (0 until rnd.nextInt(12)).foreach(_ => s.add(active(rnd.nextInt(active.size))))
+          active.foreach { ae =>
+            val g = s.gain(ae)
+            val single = empty.gain(ae)
+            assert(g <= single, s"engine $n trial $trial e${ae.elem.id}: $g > $single")
+            if (g < single) strictlyLess += 1
+          }
+        }
+      }
+    }
+    assert(strictlyLess > 0)
+  }
+
   test("gain does not mutate state: two consecutive gains agree") {
     for (seed <- 0L to 4L; q <- queries(seed)) {
       val eng = mkEngine(seed)

@@ -8,7 +8,7 @@ import scala.collection.mutable
   * SieveStreaming are compared against.
   */
 final class UnsharedCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsilon: Double) {
-  private val phis = new ThresholdCandidates(engine, q, k, epsilon)
+  private val phis = new ThresholdCandidates(engine, q, k, epsilon, ThresholdCandidates.ReachesTau)
   // φ_j = (1+ε)^j names candidate j for as long as it stays in Φ.
   private val byPhi = mutable.HashMap.empty[Double, CandidateState]
 
