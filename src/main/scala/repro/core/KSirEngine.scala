@@ -244,6 +244,13 @@ final class KSirEngine(
 
   private var nUnknownRefs = 0L
 
+  /** Active elements by topic-support size: `bySupport(s)` of them have s
+    * topics. `maxSupportSize` is the largest s with a non-zero count, so it
+    * stays exact as elements expire and are resurrected.
+    */
+  private val bySupport = new Array[Int](model.z + 1)
+  private var maxSupportSize = 0
+
   /** Current time t (end of the last ingested bucket). */
   def now: Long = nowTs
 
@@ -254,6 +261,11 @@ final class KSirEngine(
     * each is otherwise ignored.
     */
   def unknownRefs: Long = nUnknownRefs
+
+  /** m: the most topics any active element has (0 while A_t is empty). An
+    * element sits on at most m ranked lists, which the cursor's bound uses.
+    */
+  def maxSupport: Int = maxSupportSize
 
   /** A_t in admission order, a resurrected element from its latest admission;
     * allocates nothing per element. Not valid across an `advance`.
@@ -303,7 +315,8 @@ final class KSirEngine(
     // referrers), and a reference into the bucket names an element strictly
     // earlier in the (ts, id) order the bucket is replayed in (a later one,
     // or the element itself, is not yet in `index` when the reference is
-    // applied, so the reference would be lost).
+    // applied, so the reference would be lost), and no element's ts lies
+    // after the bucket's end (it would stay active more than T past it).
     val byId = bucket.elements.toArray
     java.util.Arrays.sort(byId, KSirEngine.ById)
     val ids = new Array[Long](byId.length)
@@ -314,6 +327,7 @@ final class KSirEngine(
       i += 1
     }
     bucket.elements.foreach { e =>
+      require(e.ts <= bucket.endTs, s"element ${e.id}: ts ${e.ts} lies after its bucket's end ${bucket.endTs}")
       val t = e.topics.idx
       val p = e.topics.v
       var sum = 0.0
@@ -387,6 +401,8 @@ final class KSirEngine(
           index(ae.elem.id) = ae.elem
           nActive -= 1
           scan(ae.pos) = null
+          bySupport(ae.topics.idx.length) -= 1
+          while (maxSupportSize > 0 && bySupport(maxSupportSize) == 0) maxSupportSize -= 1
         } else if (ae.expireChildren(windowStart)) relist(ae, keep = true)
       }
     }
@@ -406,6 +422,9 @@ final class KSirEngine(
     scanEnd += 1
     index(e.id) = ae
     nActive += 1
+    val support = ae.topics.idx.length
+    bySupport(support) += 1
+    if (support > maxSupportSize) maxSupportSize = support
     relist(ae, keep = true)
     ae
   }

@@ -2,8 +2,9 @@ package repro.core
 
 /** MULTI-TOPIC THRESHOLDSTREAM (Algorithm 2): threshold-bucket candidates fed
   * from the ranked lists in decreasing order of x-weighted topic score, with
-  * early termination once the upper bound UB(x) on unretrieved elements falls
-  * below the minimum admission threshold TH of any unfilled candidate.
+  * early termination once the cursor's upper bound on unretrieved elements
+  * (UB(x) over at most m lists, DESIGN §6e) falls below the minimum
+  * admission threshold TH of any unfilled candidate.
   *
   * Returns a (1/2 − ε)-approximation (Theorem 2) and evaluates each active
   * element at most once.

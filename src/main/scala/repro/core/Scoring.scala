@@ -216,10 +216,10 @@ final case class KSirResult(elements: Seq[Long], score: Double, evaluated: Int, 
 
 /** Traversal state over the ranked lists RL_i for the topics with x_i > 0:
   * the `RL_i.first` / `RL_i.next` operations of §4.1, including the
-  * cross-list "visited" marking so each element is retrieved at most once.
-  * Each list is walked by (chunk, slot); only a list's head is looked up in
-  * A_t. The lists must not change while it is in use. A query naming a topic
-  * outside [0, z) is rejected on construction.
+  * cross-list "visited" marking so each element is retrieved at most once,
+  * and the bound on what is left. Each list is walked by (chunk, slot); only
+  * a list's head is looked up in A_t. The lists must not change while it is
+  * in use. A query naming a topic outside [0, z) is rejected on construction.
   */
 final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
   engine.requireQueryTopics(q)
@@ -230,11 +230,14 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
   private val chunkAt = new Array[Int](d)
   // Slot of each list's head in its chunk; -1 before the first entry.
   private val slotAt = Array.fill(d)(-1)
-  // Current head of each list: δ_i(e) and e, or null when exhausted.
-  private val headScore = new Array[Double](d)
+  // Current head of each list: its term x_i·δ_i(e) and e, or null when
+  // exhausted.
+  private val headTerm = new Array[Double](d)
   private val head = new Array[ActiveElement](d)
   // An element sits once in each list, so one list needs no visited set.
   private val visited: LongDoubleMap = if (d > 1) new LongDoubleMap else null
+  // m: an element sits on at most this many of the d lists.
+  private val m = engine.maxSupport
   var retrievedCount: Int = 0
 
   (0 until d).foreach(advanceList)
@@ -250,7 +253,7 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
       if (p == ch.n) { c += 1; p = -1 }
       else if (visited == null || !visited.contains(ch.ids(p))) {
         next = engine.activeOrNull(ch.ids(p))
-        headScore(j) = ch.scores(p)
+        headTerm(j) = x(j) * ch.scores(p)
       }
     }
     chunkAt(j) = c
@@ -258,12 +261,60 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
     head(j) = next
   }
 
-  /** Upper bound UB(x) = Σ_i x_i·δ_i(e^(i)) on any unretrieved element. */
-  def upperBound: Double = {
+  /** The paper's UB(x) = Σ_i x_i·δ_i(e^(i)) over the live heads (§4.1). */
+  def paperUpperBound: Double = {
     var ub = 0.0
     var j = 0
     while (j < d) {
-      if (head(j) != null) ub += x(j) * headScore(j)
+      if (head(j) != null) ub += headTerm(j)
+      j += 1
+    }
+    ub
+  }
+
+  /** Upper bound on δ(e, x) of any unretrieved element e: the sum of the m
+    * largest x_i·δ_i(e^(i)) over the live heads, m = `engine.maxSupport`, as
+    * e sits on at most m lists (DESIGN §6e). With at most m live heads this
+    * is [[paperUpperBound]], bit for bit. Otherwise the m terms, ties taken
+    * in list order, are summed in list order, as `deltaScore` sums δ(e, x).
+    * Allocates nothing.
+    */
+  def upperBound: Double = {
+    var ub = 0.0
+    var live = 0
+    var j = 0
+    while (j < d) {
+      if (head(j) != null) { ub += headTerm(j); live += 1 }
+      j += 1
+    }
+    if (live <= m) return ub
+    // The m-th term in (term descending, list ascending) order: each pass
+    // takes the first term that comes after the previous pass's.
+    var cutV = Double.PositiveInfinity
+    var cutJ = -1
+    var picks = 0
+    while (picks < m) {
+      var bestV = 0.0
+      var bestJ = -1
+      j = 0
+      while (j < d) {
+        if (head(j) != null) {
+          val v = headTerm(j)
+          if ((v < cutV || (v == cutV && j > cutJ)) && (bestJ < 0 || v > bestV)) { bestV = v; bestJ = j }
+        }
+        j += 1
+      }
+      cutV = bestV
+      cutJ = bestJ
+      picks += 1
+    }
+    ub = 0.0
+    j = 0
+    while (j < d) {
+      if (head(j) != null) {
+        val v = headTerm(j)
+        if (v > cutV || (v == cutV && j <= cutJ)) ub += v
+      }
       j += 1
     }
     ub
@@ -284,7 +335,7 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
     var j = 0
     while (j < d) {
       if (head(j) != null) {
-        val v = x(j) * headScore(j)
+        val v = headTerm(j)
         if (v > bestVal) { bestVal = v; best = j }
       }
       j += 1

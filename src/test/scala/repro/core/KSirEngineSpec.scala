@@ -255,6 +255,22 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(Children.ids(eng.activeElement(4).get) == Seq(5L))
   }
 
+  test("an element whose ts lies after its bucket's end is rejected and leaves the engine unchanged") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    def state = (eng.now, eng.activeCount, eng.rankedList(0).toSeq, eng.activeElement(1).get.childCount)
+    val before = state
+    // e3 (ts 4) would stay in A_t until t = 7, three buckets past the bucket
+    // ending at 3 that delivers it; the valid e2 comes first.
+    intercept[IllegalArgumentException](
+      eng.advance(Bucket(3, Seq(el(2, 3, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), el(3, 4, Seq(0), Seq(0 -> 1.0))))))
+    assert(state == before)
+    assert(eng.activeElement(2).isEmpty && eng.activeElement(3).isEmpty)
+    // An element at the bucket's end is taken.
+    eng.advance(Bucket(3, Seq(el(2, 3, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    assert(eng.activeCount == 2 && Children.ids(eng.activeElement(1).get) == Seq(2L))
+  }
+
   test("a bucket older than the previous bucket still expires on time") {
     val eng = mk()
     eng.advance(Bucket(5, Seq(el(1, 5, Seq(0), Seq(0 -> 1.0)))))
@@ -433,5 +449,44 @@ class KSirEngineSpec extends AnyFunSuite {
     }
     assert(resurrected > 0, "the stream must exercise resurrection")
     assert(order == Vector(10000L, last.id))
+  }
+
+  /** m from scratch: the most topics of any element in A_t. */
+  private def supportOf(eng: KSirEngine): Int = eng.activeElements.map(_.topics.idx.length).maxOption.getOrElse(0)
+
+  test("maxSupport equals the most topics of any active element after every advance") {
+    // References reach back 7.5T, so discarded elements are resurrected.
+    val g = repro.data.SocialStreamGen.generate(
+      repro.data.StreamConfig("support", 3000, 150, 6, 5, 2.0, 3000, 1500, seed = 6L))
+    val eng = new KSirEngine(g.model, 200L, 0.5, 5.0)
+    var seen = Set.empty[Int]
+    (Bucket.bucketize(g.elements, 50, 3000) :+ Bucket(3400, Seq.empty)).foreach { b =>
+      eng.advance(b)
+      assert(eng.maxSupport == supportOf(eng), s"t=${b.endTs}")
+      seen += eng.maxSupport
+    }
+    // 3 while the window holds elements, 0 once the gap has emptied it.
+    assert(seen == Set(0, 3), seen)
+  }
+
+  test("maxSupport falls when the only 3-topic element expires and rises when it is resurrected") {
+    val three = new TopicModel(3, 6, Array(
+      Array(0.5, 0.5, 0.0, 0.0, 0.0, 0.0),
+      Array(0.0, 0.0, 0.5, 0.5, 0.0, 0.0),
+      Array(0.0, 0.0, 0.0, 0.0, 0.5, 0.5),
+    ))
+    val eng = new KSirEngine(three, 4, 0.5, 2.0)
+    val ms = Seq(
+      Bucket(1, Seq(el(1, 1, Seq(0, 2, 4), Seq(0 -> 0.5, 1 -> 0.3, 2 -> 0.2)))),
+      Bucket(3, Seq(el(2, 3, Seq(1), Seq(0 -> 1.0)))),
+      Bucket(5, Seq.empty), // window [2,5]: e1 leaves, e2 stays
+      Bucket(6, Seq(el(3, 6, Seq(3), Seq(1 -> 1.0), refs = Seq(1)))), // resurrects e1
+    ).map { b =>
+      eng.advance(b)
+      assert(eng.maxSupport == supportOf(eng), s"t=${b.endTs}")
+      eng.maxSupport
+    }
+    assert(ms == Seq(3, 3, 1, 3))
+    assert(eng.activeElement(1).isDefined)
   }
 }

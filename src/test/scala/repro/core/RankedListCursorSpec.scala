@@ -48,14 +48,28 @@ class RankedListCursorSpec extends AnyFunSuite {
   }
 
   test("upperBound dominates every later-popped element's δ(e,x)") {
-    val q = QueryVector(0 -> 0.3, 1 -> 0.7)
-    val cursor = new RankedListCursor(eng, q)
-    var ub = cursor.upperBound
-    var ae = cursor.popMax()
-    while (ae != null) {
-      assert(eng.deltaScore(ae, q) <= ub + 1e-9)
-      ub = cursor.upperBound
-      ae = cursor.popMax()
+    def check(e: KSirEngine, q: QueryVector): Unit = {
+      val cursor = new RankedListCursor(e, q)
+      var ub = cursor.upperBound
+      var ae = cursor.popMax()
+      while (ae != null) {
+        assert(e.deltaScore(ae, q) <= ub + 1e-9)
+        ub = cursor.upperBound
+        ae = cursor.popMax()
+      }
+    }
+    check(eng, QueryVector(0 -> 0.3, 1 -> 0.7))
+    // Queries with more topics than any active element has (m), where the
+    // bound keeps only the m largest terms.
+    for (seed <- 0L to 4L) {
+      val e = PropStreams.engine(seed)
+      val rnd = new scala.util.Random(seed)
+      (0 until 10).foreach { _ =>
+        val topics = rnd.shuffle((0 until 8).toList).take(4 + rnd.nextInt(2))
+        val q = QueryVector(topics.map(t => t -> (0.1 + rnd.nextDouble())): _*)
+        assert(q.d > e.maxSupport, s"seed=$seed")
+        check(e, q)
+      }
     }
   }
 

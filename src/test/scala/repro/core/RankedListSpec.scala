@@ -6,7 +6,8 @@ import scala.collection.mutable
 
 /** The chunked ranked list against a `TreeSet` in the same order, the cursor
   * against the §4.1 traversal over `TreeSet` snapshots of the lists, and a
-  * guard that list upkeep and single-topic pops allocate nothing.
+  * guard that list upkeep, single-topic pops and the cursor's bound allocate
+  * nothing.
   */
 class RankedListSpec extends AnyFunSuite {
 
@@ -114,9 +115,11 @@ class RankedListSpec extends AnyFunSuite {
   }
 
   /** The §4.1 traversal over `TreeSet` snapshots: per list an iterator, a
-    * head skipping visited ids, and pops by the argmax of x_i·δ_i.
+    * head skipping visited ids, pops by the argmax of x_i·δ_i, and a bound
+    * that sums the m largest x_i·δ_i over live heads, with m the most topics
+    * of any element.
     */
-  private final class ReferenceCursor(snapshots: Array[mutable.TreeSet[(Double, Long)]], x: Array[Double]) {
+  private final class ReferenceCursor(snapshots: Array[mutable.TreeSet[(Double, Long)]], x: Array[Double], m: Int) {
     private val visited = mutable.HashSet.empty[Long]
     private val iters = snapshots.map(_.iterator)
     private val heads = new Array[(Double, Long)](x.length)
@@ -131,10 +134,15 @@ class RankedListSpec extends AnyFunSuite {
       }
     }
 
+    /** The live terms (x_j·δ_j, j); with more than m of them, the m largest,
+      * ties to the lower j, back in list order; summed in list order.
+      */
     def upperBound: Double = {
-      var ub = 0.0
-      x.indices.foreach(j => if (heads(j) != null) ub += x(j) * heads(j)._1)
-      ub
+      val live = x.indices.filter(heads(_) != null).map(j => (x(j) * heads(j)._1, j))
+      val kept =
+        if (live.size <= m) live
+        else live.sortWith((a, b) => a._1 > b._1 || (a._1 == b._1 && a._2 < b._2)).take(m).sortBy(_._2)
+      kept.foldLeft(0.0)(_ + _._1)
     }
 
     def exhausted: Boolean = heads.forall(_ == null)
@@ -161,19 +169,23 @@ class RankedListSpec extends AnyFunSuite {
       val eng = new KSirEngine(g.model, 1200L, 0.5, 5.0)
       val rnd = new scala.util.Random(seed)
       var queries = 0
+      var beyondM = 0
       Bucket.bucketize(g.elements, 300, 3600).zipWithIndex.foreach { case (b, bi) =>
         eng.advance(b)
         if (bi >= 3) {
-          // Snapshots built from A_t, not from the lists under test.
+          // Snapshots and m built from A_t, not from the lists under test.
           val snap = Array.fill(g.model.z)(mutable.TreeSet.empty[(Double, Long)](ListOrder))
           eng.activeElements.foreach(ae => ae.elem.topics.idx.foreach(t => snap(t) += ((ae.delta(t), ae.elem.id))))
           assert(snap.exists(_.size > 3 * 64), "some list spans several chunks")
+          val m = eng.activeElements.map(_.elem.topics.idx.length).max
+          assert(m < TopicModel.MaxTopics)
           (0 until 8).foreach { _ =>
-            val topics = Seq.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.model.z)).distinct.sorted
+            val topics = Seq.fill(1 + rnd.nextInt(TopicModel.MaxTopics))(rnd.nextInt(g.model.z)).distinct.sorted
             val w = topics.map(_ => 0.1 + rnd.nextDouble())
             val q = QueryVector(topics.zip(w.map(_ / w.sum)): _*)
+            if (q.d > m) beyondM += 1
             val cursor = new RankedListCursor(eng, q)
-            val want = new ReferenceCursor(q.entries.idx.map(snap), q.entries.v)
+            val want = new ReferenceCursor(q.entries.idx.map(snap), q.entries.v, m)
             var step = 0
             var done = false
             while (!done) {
@@ -191,7 +203,7 @@ class RankedListSpec extends AnyFunSuite {
           }
         }
       }
-      assert(queries > 0)
+      assert(queries > 0 && beyondM > 0, s"$queries queries, $beyondM with more topics than m")
     }
   }
 
@@ -248,5 +260,23 @@ class RankedListSpec extends AnyFunSuite {
     val perCall = allocatedPerCall(cursors.length * size) { pops = drain(cursors) }
     assert(pops == cursors.length * size)
     assert(perCall < 8.0, s"popMax allocated $perCall bytes per call")
+  }
+
+  test("upperBound with more live heads than m allocates nothing once warmed up") {
+    val g = stream(31L)
+    val eng = new KSirEngine(g.model, 1200L, 0.5, 5.0)
+    Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
+    val topics = (0 until g.model.z).sortBy(t => -eng.rankedListSize(t)).take(TopicModel.MaxTopics)
+    val q = QueryVector(topics.map(t => t -> 0.2): _*)
+    assert(q.d > eng.maxSupport)
+    val cursor = new RankedListCursor(eng, q)
+    cursor.popMax()
+    val paper = cursor.paperUpperBound
+    var sink = 0.0
+    def run(): Unit = { var i = 0; while (i < 10000) { sink += cursor.upperBound; i += 1 } }
+    (0 until 5).foreach(_ => run())
+    val perCall = allocatedPerCall(10000)(run())
+    assert(cursor.upperBound < paper, "the bound drops the smallest live terms")
+    assert(sink > 0.0 && perCall < 8.0, s"upperBound allocated $perCall bytes per call")
   }
 }
