@@ -30,22 +30,33 @@ final case class Element(
   * window slides to time t (the paper processes the stream in buckets of
   * equal time length L).
   */
-final case class Bucket(endTs: Long, elements: Seq[Element])
+final case class Bucket(endTs: Long, elements: Seq[Element]) {
+
+  /** A fresh copy of the elements in replay order, by ts and then id: the one
+    * order a bucket is applied in, so a reference resolves to an earlier element.
+    */
+  def replayOrder: Array[Element] = {
+    val order = elements.toArray
+    java.util.Arrays.sort(order, Bucket.TsThenId)
+    order
+  }
+}
 
 object Bucket {
 
-  /** Partition a stream (sorted by ts) into buckets of length L, from the
+  private val TsThenId: java.util.Comparator[Element] = (a, b) =>
+    if (a.ts != b.ts) java.lang.Long.compare(a.ts, b.ts) else java.lang.Long.compare(a.id, b.id)
+
+  /** Partition a stream, in any order, into buckets of length L, from the
     * first bucket end that covers the earliest element through `endTs`.
     */
   def bucketize(elements: Seq[Element], bucketLength: Long, endTs: Long): Seq[Bucket] = {
     require(bucketLength > 0, s"bucket length must be positive, got $bucketLength")
-    val sorted = elements.sortBy(_.ts)
-    if (sorted.isEmpty) return Seq.empty
-    val first = sorted.head.ts
-    // Bucket ends are multiples of L (t = L, 2L, ... per Algorithm 1).
-    val firstEnd = ((first + bucketLength - 1) / bucketLength) * bucketLength
-    val ends = firstEnd.to(math.max(firstEnd, ((endTs + bucketLength - 1) / bucketLength) * bucketLength), bucketLength)
-    val grouped = sorted.groupBy(e => ((e.ts + bucketLength - 1) / bucketLength) * bucketLength)
-    ends.map(t => Bucket(t, grouped.getOrElse(t, Seq.empty))).toSeq
+    if (elements.isEmpty) return Seq.empty
+    // Bucket ends are multiples of L (t = L, 2L, ... per Algorithm 1), rounded up also for ts <= 0.
+    def endOf(ts: Long): Long = Math.floorDiv(ts + bucketLength - 1, bucketLength) * bucketLength
+    val grouped = elements.groupBy(e => endOf(e.ts))
+    val firstEnd = grouped.keys.min
+    firstEnd.to(math.max(firstEnd, endOf(endTs)), bucketLength).map(t => Bucket(t, grouped.getOrElse(t, Seq.empty)))
   }
 }

@@ -240,7 +240,7 @@ final class KSirEngine(
     */
   private val events = new KSirEngine.EventHeap
 
-  private var nowTs: Long = 0L
+  private var nowTs: Long = Long.MinValue
 
   private var nUnknownRefs = 0L
 
@@ -251,7 +251,7 @@ final class KSirEngine(
   private val bySupport = new Array[Int](model.z + 1)
   private var maxSupportSize = 0
 
-  /** Current time t (end of the last ingested bucket). */
+  /** Current time t: the end of the last ingested bucket (Long.MinValue before the first). */
   def now: Long = nowTs
 
   /** Number of active elements n_t. */
@@ -307,26 +307,21 @@ final class KSirEngine(
     */
   def advance(bucket: Bucket): Unit = {
     require(bucket.endTs > nowTs, s"buckets must advance time: ${bucket.endTs} <= $nowTs")
-    // The input contract, checked before any state changes so a rejected
-    // bucket leaves the engine as it was: topic masses p_i(e) lie in (0, 1]
-    // and sum to 1, topic and word ids index the model, ids are unique over
-    // the stream (a second element under an id would replace the first in
-    // A_t), no element names a parent twice (Equation 4 covers the set of
-    // referrers), and a reference into the bucket names an element strictly
-    // earlier in the (ts, id) order the bucket is replayed in (a later one,
-    // or the element itself, is not yet in `index` when the reference is
-    // applied, so the reference would be lost), and no element's ts lies
-    // after the bucket's end (it would stay active more than T past it).
-    val byId = bucket.elements.toArray
-    java.util.Arrays.sort(byId, KSirEngine.ById)
-    val ids = new Array[Long](byId.length)
-    var i = 0
-    while (i < ids.length) {
-      ids(i) = byId(i).id
-      require(!index.contains(ids(i)) && (i == 0 || ids(i) != ids(i - 1)), s"duplicate element id ${ids(i)}")
-      i += 1
-    }
-    bucket.elements.foreach { e =>
+    // The input contract, checked in replay order before any state changes,
+    // so a rejected bucket leaves the engine as it was: ids are unique over
+    // the stream, no ts lies after the bucket's end (it would stay active
+    // more than T past it), topic masses lie in (0, 1] and sum to 1, topic
+    // and word ids index the model, a reference into the bucket names an
+    // element already replayed (else it would be lost), and no element names
+    // a parent twice (Equation 4 covers the set of referrers).
+    val order = bucket.replayOrder
+    val ids = order.map(_.id)
+    java.util.Arrays.sort(ids)
+    val replayed = new Array[Boolean](ids.length) // by slot in `ids`; a repeated id finds its slot marked
+    val parents = new Array[Long](order.foldLeft(0)(_ max _.refs.length)) // scratch for the repeated-parent check
+    order.foreach { e =>
+      val slot = java.util.Arrays.binarySearch(ids, e.id)
+      require(!replayed(slot) && !index.contains(e.id), s"duplicate element id ${e.id}")
       require(e.ts <= bucket.endTs, s"element ${e.id}: ts ${e.ts} lies after its bucket's end ${bucket.endTs}")
       val t = e.topics.idx
       val p = e.topics.v
@@ -338,31 +333,25 @@ final class KSirEngine(
       var w = 0
       while (w < e.words.length && e.words(w) >= 0 && e.words(w) < model.vocabSize) w += 1
       require(w == e.words.length, s"element ${e.id}: word id outside [0, ${model.vocabSize})")
-      var r = 0
-      var earlier = true
-      while (earlier && r < e.refs.length) {
-        val k = java.util.Arrays.binarySearch(ids, e.refs(r))
-        earlier = k < 0 || byId(k).ts < e.ts || (byId(k).ts == e.ts && ids(k) < e.id)
-        r += 1
+      e.refs.foreach { pid =>
+        val k = java.util.Arrays.binarySearch(ids, pid)
+        require(k < 0 || replayed(k), if (pid == e.id) s"element ${e.id} refers to itself"
+          else s"element ${e.id} refers to $pid, which its bucket replays after it")
       }
-      require(earlier,
-        if (e.refs(r - 1) == e.id) s"element ${e.id} refers to itself"
-        else s"element ${e.id} refers to ${e.refs(r - 1)}, which its bucket replays after it")
-      if (e.refs.length > 1) {
-        val refs = e.refs.clone()
-        java.util.Arrays.sort(refs)
-        r = 1
-        while (r < refs.length && refs(r) != refs(r - 1)) r += 1
-        require(r == refs.length, s"element ${e.id} refers to ${refs(r - 1)} twice")
-      }
+      replayed(slot) = true
+      val n = e.refs.length
+      System.arraycopy(e.refs, 0, parents, 0, n)
+      java.util.Arrays.sort(parents, 0, n)
+      var r = 1
+      while (r < n && parents(r) != parents(r - 1)) r += 1
+      require(r >= n, s"element ${e.id} refers to ${parents(r - 1)} twice")
     }
     nowTs = bucket.endTs
     val windowStart = nowTs - window + 1
 
-    // Insert each element and propagate its references to parents, in
-    // (ts, id) order, so a parent from the same bucket is inserted before
-    // its children's refs are applied.
-    bucket.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
+    // Insert each element and propagate its references to parents in replay
+    // order, so a parent from the same bucket is in A_t before its children.
+    order.foreach { e =>
       admit(e)
       events.push(e.ts, e.id)
       e.refs.foreach { pid =>
@@ -498,8 +487,6 @@ final class KSirEngine(
 }
 
 object KSirEngine {
-
-  private val ById: java.util.Comparator[Element] = (a, b) => java.lang.Long.compare(a.id, b.id)
 
   /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.
     * A heap rather than a FIFO, so expiry stays exact when a bucket carries

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{ActiveElement, Bucket, Element, RankedList, TopicModel}
+import repro.core.{ActiveElement, Bucket, RankedList, SparseVec, TopicModel}
 
 /** Event delivered to the per-topic stateful operator: a partial entry of
   * topic `topic`'s list, or `None`, a tick forcing expiry on topics with no
@@ -42,9 +42,10 @@ object StreamingRankedLists {
     buckets.flatMap { b =>
       val ticks = (0 until model.z).map(t => TopicEvent(t, b.endTs, None))
       // The engine's replay order: a reference resolves only to an element seen before it.
-      val rows = b.elements.sortBy(e => (e.ts, e.id)).flatMap { e =>
+      val rows = b.replayOrder.toSeq.flatMap { e =>
+        val bag = e.wordFreqs
         val inserts = e.topics.toSeq.map { case (t, pe) =>
-          TopicEvent(t, b.endTs, Some(StatefulElem(e.id, e.ts, e.ts, semantic(model, e, t, pe), pe, Nil)))
+          TopicEvent(t, b.endTs, Some(StatefulElem(e.id, e.ts, e.ts, semantic(model, bag, t, pe), pe, Nil)))
         }
         val refs = for (pid <- e.refs.toSeq; ev <- insertsOf.getOrElse(pid, Nil); p <- ev.elem) yield {
           val child = ChildEntry(e.id, e.ts, e.topics(ev.topic))
@@ -57,9 +58,9 @@ object StreamingRankedLists {
     }
   }
 
-  /** R_i(e) for one topic — Σ_w −γ(w,e)·p_i(w,e)·log p_i(w,e). */
-  def semantic(model: TopicModel, e: Element, topic: Int, pe: Double): Double =
-    ActiveElement.rowSum(ActiveElement.sigmaRow(model, e.wordFreqs, topic, pe))
+  /** R_i(e) for one topic from e's word bag — Σ_w −γ(w,e)·p_i(w,e)·log p_i(w,e). */
+  def semantic(model: TopicModel, bag: SparseVec, topic: Int, pe: Double): Double =
+    ActiveElement.rowSum(ActiveElement.sigmaRow(model, bag, topic, pe))
 
   /** The stateful dataflow: events keyed by topic, state = the topic's list,
     * output = the top-`topN` ranked entries after each bucket.
@@ -85,7 +86,7 @@ object StreamingRankedLists {
       state: GroupState[TopicListState],
   ): Iterator[RankedEntry] = {
     var elems = state.getOption.map(_.elems).getOrElse(Map.empty[Long, StatefulElem])
-    var bucketEnd = 0L
+    var bucketEnd = Long.MinValue
     // The engine's replay order: an insert at (ts, 0, id), a reference c→p at
     // (c.ts, 1, c.id), so each parent's children arrive as in the engine. An
     // absent id takes the event's entry; a present one takes the later

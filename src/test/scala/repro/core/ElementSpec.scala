@@ -62,6 +62,19 @@ class ElementSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Bucket.bucketize(Seq(el(1, 1)), 0, 5))
   }
 
+  test("bucketize puts ts <= 0 into the L-length bucket that covers it") {
+    val es = Seq(-7L, -5L, -4L, 0L, 3L).map(t => el(t + 10, t))
+    val buckets = Bucket.bucketize(es, bucketLength = 5, endTs = 3)
+    assert(buckets.map(_.endTs) == Seq(-5L, 0L, 5L))
+    assert(buckets.map(_.elements.map(_.ts)) == Seq(Seq(-7L, -5L), Seq(-4L, 0L), Seq(3L)))
+  }
+
+  test("replayOrder sorts by ts, then id, and leaves the bucket's elements as they were") {
+    val b = Bucket(5, Seq(el(4, 3), el(2, 5), el(3, 3), el(1, 5)))
+    assert(b.replayOrder.map(e => (e.ts, e.id)).toSeq == Seq((3L, 3L), (3L, 4L), (5L, 1L), (5L, 2L)))
+    assert(b.elements.map(_.id) == Seq(4L, 2L, 3L, 1L))
+  }
+
   test("bucketize preserves every element exactly once") {
     val es = (1L to 100L).map(t => el(t, (t * 7) % 50 + 1))
     val buckets = Bucket.bucketize(es, 7, 55)

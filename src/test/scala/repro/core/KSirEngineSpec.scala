@@ -125,6 +125,33 @@ class KSirEngineSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](eng.advance(Bucket(5, Seq.empty)))
   }
 
+  test("a first bucket may end at 0 or before it") {
+    val eng = mk()
+    eng.advance(Bucket(0, Seq(el(1, 0, Seq(0), Seq(0 -> 1.0)))))
+    assert(eng.now == 0 && eng.activeCount == 1)
+    intercept[IllegalArgumentException](eng.advance(Bucket(0, Seq.empty)))
+    val early = mk()
+    early.advance(Bucket(-8, Seq(el(1, -9, Seq(0), Seq(0 -> 1.0)))))
+    early.advance(Bucket(-4, Seq(el(2, -5, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    assert(early.now == -4 && Children.ids(early.activeElement(1).get) == Seq(2L))
+  }
+
+  test("a stream with ts <= 0 replays as the same stream at positive ts") {
+    val g = repro.data.SocialStreamGen.generate(repro.data.StreamConfig.aminer(300, 1200, 31L))
+    val shift = 900L // a multiple of L, so both streams are cut alike
+    val early = g.elements.map(e => e.copy(ts = e.ts - shift))
+    val (late, shifted) = (new KSirEngine(g.model, 300, 0.5, 2.0), new KSirEngine(g.model, 300, 0.5, 2.0))
+    val buckets = Bucket.bucketize(g.elements, 50, 1200)
+    val earlyBuckets = Bucket.bucketize(early, 50, 1200 - shift)
+    assert(earlyBuckets.map(_.endTs + shift) == buckets.map(_.endTs) && earlyBuckets.count(_.endTs <= 0) > 1)
+    buckets.zip(earlyBuckets).foreach { case (b, eb) =>
+      late.advance(b)
+      shifted.advance(eb)
+      assert(shifted.activeElements.map(_.elem.id).toSeq == late.activeElements.map(_.elem.id).toSeq, b.endTs)
+      (0 until g.model.z).foreach(t => assert(shifted.rankedList(t).toSeq == late.rankedList(t).toSeq, s"${b.endTs} topic $t"))
+    }
+  }
+
   test("engine rejects invalid parameters") {
     intercept[IllegalArgumentException](new KSirEngine(model, 0, 0.5, 1.0))
     intercept[IllegalArgumentException](new KSirEngine(model, 10, 1.5, 1.0))

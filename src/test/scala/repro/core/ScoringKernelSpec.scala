@@ -179,7 +179,7 @@ class ScoringKernelSpec extends AnyFunSuite {
           val row = tupleSigmaRow(g.model, freqs, t, pe)
           assert(ae.sigma(j).map(bits).toSeq == row.map(bits).toSeq, s"$what σ row of topic $t")
           assert(bits(ae.rScore(j)) == bits(tupleRowSum(row)), s"$what R_$t")
-          assert(bits(StreamingRankedLists.semantic(g.model, e, t, pe)) == bits(tupleRowSum(row)), s"$what event R_$t")
+          assert(bits(StreamingRankedLists.semantic(g.model, e.wordFreqs, t, pe)) == bits(tupleRowSum(row)), s"$what event R_$t")
         }
       }
       assert(repeatedWords > g.elements.length / 10, s"${cfg.name}: enough documents repeat a word")

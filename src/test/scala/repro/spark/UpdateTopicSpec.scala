@@ -35,6 +35,12 @@ class UpdateTopicSpec extends AnyFunSuite {
     assert(s.get.elems.keySet == Set(1L))
   }
 
+  test("a bucket ending before 0 keeps the elements of its window") {
+    val s = state()
+    val out = update(0, Iterator(insert(1, -12, r = 2.0, p = 0.8, bucketEnd = -10)), s).toSeq
+    assert(out == Seq(RankedEntry(0, -10, 1, 1, 1.0)))
+  }
+
   test("a ref adds the influence term to the parent's δ") {
     val s = state()
     update(0, Iterator(insert(1, 1, 2.0, 0.8, 1)), s).toSeq
