@@ -14,20 +14,25 @@ import scala.collection.mutable
   *
   * A query naming a topic outside [0, z) is rejected on construction.
   */
-final class CandidateState(engine: KSirEngine, val q: QueryVector) extends CandidateView {
-  engine.requireQueryTopics(q)
+final class CandidateState private (
+    engine: KSirEngine,
+    val q: QueryVector,
+    // One map per non-zero query entry, keyed by word id.
+    covered: Array[LongDoubleMap],
+    // One map per non-zero query entry, keyed by influenced child id.
+    prodComp: Array[LongDoubleMap],
+    memberIds: mutable.ArrayBuffer[Long],
+    private var fScore: Double
+) extends CandidateView {
+
+  /** The empty state S = ∅. */
+  def this(engine: KSirEngine, q: QueryVector) = {
+    this(engine, q, Array.fill(q.d)(new LongDoubleMap), Array.fill(q.d)(new LongDoubleMap), mutable.ArrayBuffer.empty[Long], 0.0)
+    engine.requireQueryTopics(q)
+  }
 
   private val lambda = engine.lambda
   private val etaInv = (1.0 - engine.lambda) / engine.eta
-
-  // One map per non-zero query entry, keyed by word id.
-  private val covered: Array[LongDoubleMap] = Array.fill(q.d)(new LongDoubleMap)
-
-  // One map per non-zero query entry, keyed by influenced child id.
-  private val prodComp: Array[LongDoubleMap] = Array.fill(q.d)(new LongDoubleMap)
-
-  private val memberIds = mutable.ArrayBuffer.empty[Long]
-  private var fScore = 0.0
 
   def members: Seq[Long] = memberIds.toSeq
   def size: Int = memberIds.length
@@ -35,18 +40,8 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) extends Candi
   def contains(id: Long): Boolean = memberIds.contains(id)
 
   /** An independent state with the same members, coverage and f(S, x). */
-  def copy(): CandidateState = {
-    val c = new CandidateState(engine, q)
-    var i = 0
-    while (i < q.d) {
-      c.covered(i) = covered(i).copy()
-      c.prodComp(i) = prodComp(i).copy()
-      i += 1
-    }
-    c.memberIds ++= memberIds
-    c.fScore = fScore
-    c
-  }
+  def copy(): CandidateState =
+    new CandidateState(engine, q, covered.map(_.copy()), prodComp.map(_.copy()), memberIds.clone(), fScore)
 
   /** Δ(e|S) = f(S ∪ {e}, x) − f(S, x). Does not mutate state. */
   def gain(ae: ActiveElement): Double = marginal(ae, commit = false)
@@ -262,58 +257,32 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
   }
 
   /** The paper's UB(x) = Σ_i x_i·δ_i(e^(i)) over the live heads (§4.1). */
-  def paperUpperBound: Double = {
-    var ub = 0.0
-    var j = 0
-    while (j < d) {
-      if (head(j) != null) ub += headTerm(j)
-      j += 1
-    }
-    ub
-  }
+  def paperUpperBound: Double = bound(d)
 
   /** Upper bound on δ(e, x) of any unretrieved element e: the sum of the m
     * largest x_i·δ_i(e^(i)) over the live heads, m = `engine.maxSupport`, as
     * e sits on at most m lists (DESIGN §6e). With at most m live heads this
-    * is [[paperUpperBound]], bit for bit. Otherwise the m terms, ties taken
-    * in list order, are summed in list order, as `deltaScore` sums δ(e, x).
-    * Allocates nothing.
+    * is [[paperUpperBound]], bit for bit.
     */
-  def upperBound: Double = {
+  def upperBound: Double = bound(m)
+
+  /** The sum, in list order as `deltaScore` sums δ(e, x), of the live head
+    * terms that have fewer than `most` live terms before them in (term
+    * descending, list ascending) order. O(d²) and allocates nothing.
+    */
+  private def bound(most: Int): Double = {
     var ub = 0.0
-    var live = 0
     var j = 0
-    while (j < d) {
-      if (head(j) != null) { ub += headTerm(j); live += 1 }
-      j += 1
-    }
-    if (live <= m) return ub
-    // The m-th term in (term descending, list ascending) order: each pass
-    // takes the first term that comes after the previous pass's.
-    var cutV = Double.PositiveInfinity
-    var cutJ = -1
-    var picks = 0
-    while (picks < m) {
-      var bestV = 0.0
-      var bestJ = -1
-      j = 0
-      while (j < d) {
-        if (head(j) != null) {
-          val v = headTerm(j)
-          if ((v < cutV || (v == cutV && j > cutJ)) && (bestJ < 0 || v > bestV)) { bestV = v; bestJ = j }
-        }
-        j += 1
-      }
-      cutV = bestV
-      cutJ = bestJ
-      picks += 1
-    }
-    ub = 0.0
-    j = 0
     while (j < d) {
       if (head(j) != null) {
         val v = headTerm(j)
-        if (v > cutV || (v == cutV && j <= cutJ)) ub += v
+        var before = 0
+        var i = 0
+        while (i < d) {
+          if (head(i) != null && (headTerm(i) > v || (headTerm(i) == v && i < j))) before += 1
+          i += 1
+        }
+        if (before < most) ub += v
       }
       j += 1
     }

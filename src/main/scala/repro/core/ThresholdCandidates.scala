@@ -19,7 +19,6 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
   private var jLo = 0
   private var deltaMax = 0.0
   private var phis = new Array[Double](0)
-  private var taus = new Array[Double](0)
   private var states = new Array[CandidateState](0)
   private var floorValue = 0.0
   private var floorValid = false
@@ -29,7 +28,7 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
 
   /** φ_j, τ_j = φ_j / 2k and S_j of the candidate at position `i`. */
   def phi(i: Int): Double = phis(i)
-  def tau(i: Int): Double = taus(i)
+  def tau(i: Int): Double = phis(i) / (2.0 * k)
   def state(i: Int): CandidateView = states(i)
 
   /** The least gain that any unfilled candidate admits: the minimum, over the
@@ -43,7 +42,7 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
       var a = 0
       while (a < states.length) {
         val s = states(a)
-        if (s.size < k) least = math.min(least, rule.threshold(phis(a), taus(a), s, k))
+        if (s.size < k) least = math.min(least, rule.threshold(phis(a), s, k))
         a = runEnd(a)
       }
       floorValue = least
@@ -72,7 +71,6 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
       java.util.Arrays.fill(states.asInstanceOf[Array[AnyRef]], kept, n, empty)
     }
     phis = Array.tabulate(n)(i => math.pow(1.0 + epsilon, lo + i))
-    taus = phis.map(_ / (2.0 * k))
     jLo = lo
     floorValid = false
   }
@@ -87,15 +85,15 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
     * that prefix is the whole run, and otherwise the prefix moves to a copy of
     * S with e added.
     */
-  def offer(ae: ActiveElement, bound: Double): Unit = if (rule.admits(bound, floor)) {
+  def offer(ae: ActiveElement, bound: Double): Unit = if (admits(bound, floor)) {
     var a = 0
     while (a < states.length) {
       val s = states(a)
       val b = runEnd(a)
-      if (s.size < k && rule.admits(bound, rule.threshold(phis(a), taus(a), s, k))) {
+      if (s.size < k && admits(bound, rule.threshold(phis(a), s, k))) {
         val g = math.min(s.gain(ae), bound)
         var p = a
-        while (p < b && rule.admits(g, rule.threshold(phis(p), taus(p), s, k))) p += 1
+        while (p < b && admits(g, rule.threshold(phis(p), s, k))) p += 1
         if (p == b) s.add(ae)
         else if (p > a) {
           val split = s.copy()
@@ -107,6 +105,9 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
       a = b
     }
   }
+
+  /** The one admission test: a positive gain `g` that reaches `threshold`. */
+  private def admits(g: Double, threshold: Double): Boolean = g > 0.0 && g >= threshold
 
   /** The position after the run of candidates sharing the state at `a`. */
   private def runEnd(a: Int): Int = {
@@ -127,27 +128,23 @@ final class ThresholdCandidates(engine: KSirEngine, q: QueryVector, k: Int, epsi
 
 object ThresholdCandidates {
 
-  /** When candidate S_j admits e: on a judged gain g that reaches the
-    * candidate's threshold. Among candidates that share S, the threshold never
-    * falls as φ_j rises.
+  /** The threshold a positive judged gain g must reach for candidate S_j to
+    * admit e. Among candidates that share S, it never falls as φ_j rises.
     */
   sealed abstract class Rule {
-    private[core] def threshold(phi: Double, tau: Double, s: CandidateState, k: Int): Double
-    private[core] def admits(g: Double, threshold: Double): Boolean
+    private[core] def threshold(phi: Double, s: CandidateState, k: Int): Double
   }
 
-  /** MTTS: g ≥ τ_j, and τ_j ascends in j. */
+  /** MTTS: τ_j = φ_j / 2k, which ascends in j. τ_j > 0, so the test g > 0 adds nothing. */
   object ReachesTau extends Rule {
-    private[core] def threshold(phi: Double, tau: Double, s: CandidateState, k: Int): Double = tau
-    private[core] def admits(g: Double, threshold: Double): Boolean = g >= threshold
+    private[core] def threshold(phi: Double, s: CandidateState, k: Int): Double = phi / (2.0 * k)
   }
 
-  /** SieveStreaming: g > 0 and g ≥ (φ_j/2 − f(S_j)) / (k − |S_j|), which
-    * ascends in j where f(S_j) and |S_j| are the same.
+  /** SieveStreaming: (φ_j/2 − f(S_j)) / (k − |S_j|), which ascends in j where
+    * f(S_j) and |S_j| are the same.
     */
   object Sieve extends Rule {
-    private[core] def threshold(phi: Double, tau: Double, s: CandidateState, k: Int): Double =
+    private[core] def threshold(phi: Double, s: CandidateState, k: Int): Double =
       (phi / 2.0 - s.score) / (k - s.size)
-    private[core] def admits(g: Double, threshold: Double): Boolean = g > 0.0 && g >= threshold
   }
 }

@@ -51,7 +51,10 @@ object TopicModel {
 }
 
 /** A z-dimensional query vector x (sparse): the user's degree of interest on
-  * each topic, normalized to sum to 1 (§3.2).
+  * each topic (§3.2). Any positive entries are accepted, summing to 1 or not:
+  * f(S, x) stays a non-negative combination of monotone submodular f_i, so
+  * Theorems 2–3 and both cursor bounds hold (DESIGN §1). `QueryGen` and
+  * [[TopicModel.infer]] build vectors that sum to 1.
   */
 final case class QueryVector(entries: SparseVec) {
   require(entries.v.forall(_ > 0), "query vector entries must be positive")

@@ -134,6 +134,9 @@ class RankedListSpec extends AnyFunSuite {
       }
     }
 
+    /** The paper's UB: every live term x_j·δ_j, summed in list order. */
+    def paperUpperBound: Double = x.indices.filter(heads(_) != null).foldLeft(0.0)((ub, j) => ub + x(j) * heads(j)._1)
+
     /** The live terms (x_j·δ_j, j); with more than m of them, the m largest,
       * ties to the lower j, back in list order; summed in list order.
       */
@@ -192,6 +195,7 @@ class RankedListSpec extends AnyFunSuite {
               val what = s"seed $seed t=${b.endTs} query ${q.entries.toSeq} step $step"
               assert(cursor.exhausted == want.exhausted, what)
               assert(cursor.upperBound == want.upperBound, what)
+              assert(cursor.paperUpperBound == want.paperUpperBound, what)
               val ae = cursor.popMax()
               val id = want.popMax()
               assert((if (ae == null) -1L else ae.elem.id) == id, what)
