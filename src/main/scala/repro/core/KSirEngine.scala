@@ -4,9 +4,9 @@ import scala.collection.mutable
 
 /** An element held in the active window together with all per-topic state the
   * ranked lists need: the static semantic score `R_i(e)`, the word weights
-  * `σ_i(w,e)`, the time-varying singleton influence `I_{i,t}(e)`, and the
-  * timestamp `t_e` when the element was last referred to (its own arrival
-  * counts, per Algorithm 1).
+  * `σ_i(w,e)`, and the time-varying singleton influence `I_{i,t}(e)` over
+  * its in-window children. Algorithm 1's `t_e`, the last time the element was
+  * posted or referred to, is the latest of its own ts and its children's.
   *
   * All per-topic state lives in flat primitive arrays indexed by the topic's
   * slot `j` in `topics` (the element's sparse topic support); see DESIGN §6c.
@@ -16,9 +16,6 @@ final class ActiveElement private (val elem: Element, bag: SparseVec, model: Top
 
   def this(elem: Element, model: TopicModel, lambda: Double, eta: Double) =
     this(elem, elem.wordFreqs, model, lambda, eta)
-
-  /** Last time this element was posted or referred to (t_e in Algorithm 1). */
-  var lastReferred: Long = elem.ts
 
   /** This element's slot in the engine's admission-ordered scan array. */
   private[core] var pos: Int = -1
@@ -234,22 +231,15 @@ final class KSirEngine(
   /** Ranked list RL_i per topic i. */
   private val lists: Array[RankedList] = Array.fill(model.z)(new RankedList)
 
-  /** One (ts, id) event per inserted element and per resolved reference to a
-    * parent; an id is checked for expiry when one of its events leaves the
-    * window.
-    */
+  /** One (ts, id) event per ingested element; see the expiry in [[advance]]. */
   private val events = new KSirEngine.EventHeap
 
   private var nowTs: Long = Long.MinValue
 
   private var nUnknownRefs = 0L
 
-  /** Active elements by topic-support size: `bySupport(s)` of them have s
-    * topics. `maxSupportSize` is the largest s with a non-zero count, so it
-    * stays exact as elements expire and are resurrected.
-    */
+  /** Active elements by topic-support size: `bySupport(s)` of them have s topics. */
   private val bySupport = new Array[Int](model.z + 1)
-  private var maxSupportSize = 0
 
   /** Current time t: the end of the last ingested bucket (Long.MinValue before the first). */
   def now: Long = nowTs
@@ -262,10 +252,14 @@ final class KSirEngine(
     */
   def unknownRefs: Long = nUnknownRefs
 
-  /** m: the most topics any active element has (0 while A_t is empty). An
-    * element sits on at most m ranked lists, which the cursor's bound uses.
+  /** m: the most topics any active element has (0 while A_t is empty), read
+    * from `bySupport` in O(z). An element sits on at most m ranked lists.
     */
-  def maxSupport: Int = maxSupportSize
+  def maxSupport: Int = {
+    var s = model.z
+    while (s > 0 && bySupport(s) == 0) s -= 1
+    s
+  }
 
   /** A_t in admission order, a resurrected element from its latest admission;
     * allocates nothing per element. Not valid across an `advance`.
@@ -365,36 +359,42 @@ final class KSirEngine(
         }
         if (parent != null) {
           parent.addChild(e)
-          parent.lastReferred = math.max(parent.lastReferred, e.ts)
           relist(parent, keep = true)
-          events.push(e.ts, pid)
         }
       }
     }
 
-    // Expire, in O(expired events) rather than O(n_t): every active element
-    // keeps an unpopped event at or before its lastReferred, and every
-    // in-window child one on its parent, so each element that leaves A_t and
-    // each parent with an expiring child is popped here. Drop elements never
-    // referred to at or after t-T+1; for survivors, drop expired children and
-    // refresh their influence scores. (The paper's Algorithm 1 only deletes
-    // expired tuples; refreshing parents of expired children is required for
-    // δ_i to match Equation 4 exactly — see DESIGN §6b.) Stale events find
-    // their id inactive, or still referred. A leaving element's index entry
-    // goes back to its `Element`.
+    // Expire, in O(expired events) rather than O(n_t): t_e is the latest of an element's ts and
+    // its in-window children's, so checking the element of each popped event and the active
+    // parents it refers to checks each element in the advance where its t_e leaves (DESIGN §6b).
+    // Parents that stay are refreshed: Algorithm 1 only deletes expired tuples, but δ_i must
+    // match Equation 4 exactly.
     while (events.nonEmpty && events.minTs < windowStart) {
-      val ae = activeOrNull(events.popId())
-      if (ae != null) {
-        if (ae.lastReferred < windowStart) {
-          relist(ae, keep = false)
-          index(ae.elem.id) = ae.elem
-          nActive -= 1
-          scan(ae.pos) = null
-          bySupport(ae.topics.idx.length) -= 1
-          while (maxSupportSize > 0 && bySupport(maxSupportSize) == 0) maxSupportSize -= 1
-        } else if (ae.expireChildren(windowStart)) relist(ae, keep = true)
+      val elem = index(events.popId()) match {
+        case ae: ActiveElement => expire(ae, windowStart); ae.elem
+        case old: Element      => old
+      }
+      var r = 0
+      while (r < elem.refs.length) {
+        val parent = activeOrNull(elem.refs(r))
+        if (parent != null) expire(parent, windowStart)
+        r += 1
       }
     }
+  }
+
+  /** Drops ae's children older than `windowStart`; then ae leaves A_t if it is older too and
+    * has none left, its index entry going back to its `Element`, or else is relisted if one was dropped.
+    */
+  private def expire(ae: ActiveElement, windowStart: Long): Unit = {
+    val dropped = ae.expireChildren(windowStart)
+    if (ae.elem.ts < windowStart && ae.childCount == 0) {
+      relist(ae, keep = false)
+      index(ae.elem.id) = ae.elem
+      nActive -= 1
+      scan(ae.pos) = null
+      bySupport(ae.topics.idx.length) -= 1
+    } else if (dropped) relist(ae, keep = true)
   }
 
   /** Puts e into A_t, with no children, at the end of the scan order, and
@@ -411,9 +411,7 @@ final class KSirEngine(
     scanEnd += 1
     index(e.id) = ae
     nActive += 1
-    val support = ae.topics.idx.length
-    bySupport(support) += 1
-    if (support > maxSupportSize) maxSupportSize = support
+    bySupport(ae.topics.idx.length) += 1
     relist(ae, keep = true)
     ae
   }

@@ -37,7 +37,6 @@ final class CandidateState private (
   def members: Seq[Long] = memberIds.toSeq
   def size: Int = memberIds.length
   def score: Double = fScore
-  def contains(id: Long): Boolean = memberIds.contains(id)
 
   /** An independent state with the same members, coverage and f(S, x). */
   def copy(): CandidateState =

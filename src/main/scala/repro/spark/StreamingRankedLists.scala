@@ -7,16 +7,16 @@ import repro.core.{ActiveElement, Bucket, RankedList, SparseVec, TopicModel}
 /** Event delivered to the per-topic stateful operator: a partial entry of
   * topic `topic`'s list, or `None`, a tick forcing expiry on topics with no
   * arrivals (Alg. 1 l. 12–13). An insert (l. 4–7) is the element's own entry
-  * with no children; a reference c→p (l. 8–11) is p's insert entry with
-  * `lastRef = max(p.ts, c.ts)` and the one child c, routed to every topic of
-  * p's support, so a discarded parent is resurrected by the rule that inserts it.
+  * with no children; a reference c→p (l. 8–11) is p's insert entry with the
+  * one child c, routed to every topic of p's support, so a discarded parent is
+  * resurrected by the rule that inserts it.
   */
 final case class TopicEvent(topic: Int, bucketEnd: Long, elem: Option[StatefulElem])
 
 final case class ChildEntry(childId: Long, childTs: Long, pChild: Double)
 
-/** One list entry: R_i(e) = `rScore`, p_i(e) = `pe`, children in arrival order. */
-final case class StatefulElem(id: Long, ts: Long, lastRef: Long, rScore: Double, pe: Double, children: List[ChildEntry])
+/** One list entry: R_i(e) = `rScore`, p_i(e) = `pe`, in-window children in arrival order. */
+final case class StatefulElem(id: Long, ts: Long, rScore: Double, pe: Double, children: List[ChildEntry])
 
 final case class TopicListState(elems: Map[Long, StatefulElem])
 
@@ -45,11 +45,11 @@ object StreamingRankedLists {
       val rows = b.replayOrder.toSeq.flatMap { e =>
         val bag = e.wordFreqs
         val inserts = e.topics.toSeq.map { case (t, pe) =>
-          TopicEvent(t, b.endTs, Some(StatefulElem(e.id, e.ts, e.ts, semantic(model, bag, t, pe), pe, Nil)))
+          TopicEvent(t, b.endTs, Some(StatefulElem(e.id, e.ts, semantic(model, bag, t, pe), pe, Nil)))
         }
         val refs = for (pid <- e.refs.toSeq; ev <- insertsOf.getOrElse(pid, Nil); p <- ev.elem) yield {
           val child = ChildEntry(e.id, e.ts, e.topics(ev.topic))
-          TopicEvent(ev.topic, b.endTs, Some(p.copy(lastRef = math.max(p.ts, e.ts), children = List(child))))
+          TopicEvent(ev.topic, b.endTs, Some(p.copy(children = List(child))))
         }
         insertsOf(e.id) = inserts
         inserts ++ refs
@@ -89,22 +89,22 @@ object StreamingRankedLists {
     var bucketEnd = Long.MinValue
     // The engine's replay order: an insert at (ts, 0, id), a reference c→p at
     // (c.ts, 1, c.id), so each parent's children arrive as in the engine. An
-    // absent id takes the event's entry; a present one takes the later
-    // lastRef and appends the event's children.
+    // absent id takes the event's entry; a present one appends the event's
+    // children.
     rows.toSeq.sortBy(_.elem.fold((0L, 0, 0L)) { e =>
       e.children.headOption.fold((e.ts, 0, e.id))(c => (c.childTs, 1, c.childId))
     }).foreach { ev =>
       bucketEnd = math.max(bucketEnd, ev.bucketEnd)
       ev.elem.foreach { e =>
         elems += e.id -> elems.get(e.id).fold(e) { old =>
-          old.copy(lastRef = math.max(old.lastRef, e.lastRef), children = old.children ++ e.children)
+          old.copy(children = old.children ++ e.children)
         }
       }
     }
     val windowStart = bucketEnd - window + 1
-    elems = elems.collect {
-      case (id, e) if e.lastRef >= windowStart =>
-        id -> e.copy(children = e.children.filter(_.childTs >= windowStart))
+    elems = elems.flatMap { case (id, e) =>
+      val children = e.children.filter(_.childTs >= windowStart)
+      if (e.ts >= windowStart || children.nonEmpty) Some(id -> e.copy(children = children)) else None
     }
     state.update(TopicListState(elems))
 

@@ -127,5 +127,32 @@ class RankedListCursorSpec extends AnyFunSuite {
     val seen = Iterator.continually(cursor.popMax()).takeWhile(_ != null).map(_.elem.id).toSeq
     assert(seen == Seq(9L, 8L, 7L))
   }
+
+  test("with more live heads than m, upperBound keeps the lower list index of two tied terms") {
+    // Queried topics 0..3 have heads c, a, b, c with a > b > c: e1 heads
+    // lists 0 and 3 on equal δ and equal x. e4 sits off the query on three
+    // topics, so m = 3 and one of the two c terms is left out. In list order
+    // the rule sums (c + a) + b; taking the c of list 3 would sum (a + b) + c.
+    val model = new TopicModel(7, 4, Array.fill(7)(Array.fill(4)(0.25)))
+    def el(id: Long, topics: (Int, Double)*) = Element(id, 1, Array(0, 1, 1), Array.empty, SparseVec(topics: _*))
+    val e = new KSirEngine(model, 10, 0.5, 2.0)
+    e.advance(Bucket(1, Seq(
+      el(1, 0 -> 0.5, 3 -> 0.5), el(2, 1 -> 1.0), el(3, 2 -> 1.0), el(4, 4 -> 0.25, 5 -> 0.25, 6 -> 0.5))))
+    assert(e.maxSupport == 3)
+    def head(topic: Int): Double = e.rankedList(topic).next()._1
+    assert(java.lang.Double.doubleToRawLongBits(head(0)) == java.lang.Double.doubleToRawLongBits(head(3)))
+    val c = head(0)
+    // x_1 and x_2 put a in (2c, 3c) and b in (1.1c, 1.9c); the first draw
+    // whose two sums differ in the last bits is used.
+    val rnd = new scala.util.Random(7)
+    val (xa, xb) = Iterator.fill(1000)(((2 + rnd.nextDouble()) * c / head(1), (1.1 + 0.8 * rnd.nextDouble()) * c / head(2)))
+      .find { case (xa, xb) => val (a, b) = (xa * head(1), xb * head(2)); (c + a) + b != (a + b) + c }
+      .get
+    val (a, b) = (xa * head(1), xb * head(2))
+    assert(a > b && b > c)
+    val cursor = new RankedListCursor(e, QueryVector(0 -> 1.0, 1 -> xa, 2 -> xb, 3 -> 1.0))
+    assert(java.lang.Double.doubleToRawLongBits(cursor.upperBound) == java.lang.Double.doubleToRawLongBits((c + a) + b))
+    assert(cursor.paperUpperBound == ((c + a) + b) + c)
+  }
 }
 

@@ -20,11 +20,11 @@ class UpdateTopicSpec extends AnyFunSuite {
   }
 
   private def insert(id: Long, ts: Long, r: Double, p: Double, bucketEnd: Long) =
-    TopicEvent(0, bucketEnd, Some(StatefulElem(id, ts, ts, r, p, Nil)))
+    TopicEvent(0, bucketEnd, Some(StatefulElem(id, ts, r, p, Nil)))
 
   private def ref(child: Long, ts: Long, pChild: Double, parent: Long, bucketEnd: Long,
       parentTs: Long = 0L, parentR: Double = 0.0, parentP: Double = 0.0) =
-    TopicEvent(0, bucketEnd, Some(StatefulElem(parent, parentTs, ts, parentR, parentP, List(ChildEntry(child, ts, pChild)))))
+    TopicEvent(0, bucketEnd, Some(StatefulElem(parent, parentTs, parentR, parentP, List(ChildEntry(child, ts, pChild)))))
 
   private def tick(bucketEnd: Long) = TopicEvent(0, bucketEnd, None)
 
@@ -63,7 +63,7 @@ class UpdateTopicSpec extends AnyFunSuite {
     val s = state()
     update(0, Iterator(insert(1, 1, 2.0, 0.8, 1)), s).toSeq
     update(0, Iterator(insert(2, 8, 1.0, 0.5, 8), ref(2, 8, 0.5, 1, 8)), s).toSeq
-    val out = update(0, Iterator(tick(12)), s).toSeq // window [3,12]: e1 kept via lastRef=8
+    val out = update(0, Iterator(tick(12)), s).toSeq // window [3,12]: e1 kept by its child e2 (ts 8)
     assert(out.map(_.elem).contains(1L))
   }
 
@@ -74,7 +74,7 @@ class UpdateTopicSpec extends AnyFunSuite {
     // At bucket 12 (window [3,12]) the child e2 (ts 3) is still in...
     var out = update(0, Iterator(tick(12)), s).toSeq
     assert(math.abs(out.find(_.elem == 1L).get.delta - 1.1) < 1e-12)
-    // ...at bucket 13 (window [4,13]) it is gone, and so is e1 (lastRef 3).
+    // ...at bucket 13 (window [4,13]) it is gone, and so is e1 (ts 1, no child left).
     out = update(0, Iterator(tick(13)), s).toSeq
     assert(!out.map(_.elem).contains(1L))
   }
