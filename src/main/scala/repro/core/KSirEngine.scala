@@ -208,6 +208,7 @@ final class KSirEngine(
   require(window > 0, "window length must be positive")
   require(lambda >= 0 && lambda <= 1, "λ must lie in [0,1]")
   require(eta > 0, "η must be positive")
+  require(model.z <= KSirEngine.MaxTopicCount, s"subset keys pack topic ids in 12 bits, so z must be at most ${KSirEngine.MaxTopicCount}")
 
   /** Every element ever seen, by id: its [[ActiveElement]] while it is in
     * A_t, and its [[Element]] once it has left, so a reference to a
@@ -238,8 +239,13 @@ final class KSirEngine(
 
   private var nUnknownRefs = 0L
 
-  /** Active elements by topic-support size: `bySupport(s)` of them have s topics. */
-  private val bySupport = new Array[Int](model.z + 1)
+  /** Active elements per subset of two or more topics: an element counts
+    * towards every such subset of its support, by [[KSirEngine.subsetKey]].
+    * A count that reaches 0 loses its key, so only subsets that some active
+    * element's support contains are held. A single topic needs no count: it
+    * is covered exactly when its ranked list is non-empty.
+    */
+  private val subsetCounts = new LongDoubleMap
 
   /** Current time t: the end of the last ingested bucket (Long.MinValue before the first). */
   def now: Long = nowTs
@@ -252,14 +258,14 @@ final class KSirEngine(
     */
   def unknownRefs: Long = nUnknownRefs
 
-  /** m: the most topics any active element has (0 while A_t is empty), read
-    * from `bySupport` in O(z). An element sits on at most m ranked lists.
+  /** Active elements whose support contains the topics `ids(b)` for the set
+    * bits b of `mask` (ids ascending, two or more bits set).
     */
-  def maxSupport: Int = {
-    var s = model.z
-    while (s > 0 && bySupport(s) == 0) s -= 1
-    s
-  }
+  private[core] def subsetCount(ids: Array[Int], mask: Int): Int =
+    subsetCounts.getOrElse(KSirEngine.subsetKey(ids, mask), 0.0).toInt
+
+  /** Number of subsets of two or more topics that some active element's support contains. */
+  private[core] def subsetsHeld: Int = subsetCounts.size
 
   /** A_t in admission order, a resurrected element from its latest admission;
     * allocates nothing per element. Not valid across an `advance`.
@@ -305,9 +311,11 @@ final class KSirEngine(
     // so a rejected bucket leaves the engine as it was: ids are unique over
     // the stream, no ts lies after the bucket's end (it would stay active
     // more than T past it), topic masses lie in (0, 1] and sum to 1, topic
-    // and word ids index the model, a reference into the bucket names an
-    // element already replayed (else it would be lost), and no element names
-    // a parent twice (Equation 4 covers the set of referrers).
+    // and word ids index the model, an element has at most
+    // `TopicModel.MaxTopics` topics (its support subsets are counted, so
+    // they must stay few), a reference into the bucket names an element
+    // already replayed (else it would be lost), and no element names a
+    // parent twice (Equation 4 covers the set of referrers).
     val order = bucket.replayOrder
     val ids = order.map(_.id)
     java.util.Arrays.sort(ids)
@@ -324,6 +332,7 @@ final class KSirEngine(
       while (m < p.length && p(m) > 0.0 && p(m) <= 1.0) { sum += p(m); m += 1 }
       require(m == p.length && math.abs(sum - 1.0) <= 1e-9, s"element ${e.id}: topic masses must lie in (0, 1] and sum to 1")
       require(t(0) >= 0 && t(t.length - 1) < model.z, s"element ${e.id}: topic id outside [0, ${model.z})")
+      require(t.length <= TopicModel.MaxTopics, s"element ${e.id}: ${t.length} topics, more than ${TopicModel.MaxTopics}")
       var w = 0
       while (w < e.words.length && e.words(w) >= 0 && e.words(w) < model.vocabSize) w += 1
       require(w == e.words.length, s"element ${e.id}: word id outside [0, ${model.vocabSize})")
@@ -393,7 +402,7 @@ final class KSirEngine(
       index(ae.elem.id) = ae.elem
       nActive -= 1
       scan(ae.pos) = null
-      bySupport(ae.topics.idx.length) -= 1
+      countSubsets(ae, -1.0)
     } else if (dropped) relist(ae, keep = true)
   }
 
@@ -411,9 +420,25 @@ final class KSirEngine(
     scanEnd += 1
     index(e.id) = ae
     nActive += 1
-    bySupport(ae.topics.idx.length) += 1
+    countSubsets(ae, 1.0)
     relist(ae, keep = true)
     ae
+  }
+
+  /** Adds `by` to the count of every subset of two or more of ae's topics:
+    * 2^s − 1 − s updates for s topics.
+    */
+  private def countSubsets(ae: ActiveElement, by: Double): Unit = {
+    val ids = ae.topics.idx
+    var mask = 3
+    while (mask < (1 << ids.length)) {
+      if ((mask & (mask - 1)) != 0) {
+        val key = KSirEngine.subsetKey(ids, mask)
+        val c = subsetCounts.getOrElse(key, 0.0) + by
+        if (c == 0.0) subsetCounts.remove(key) else subsetCounts(key) = c
+      }
+      mask += 1
+    }
   }
 
   /** Slides the live entries of `scan` to its front, keeping their order. */
@@ -485,6 +510,25 @@ final class KSirEngine(
 }
 
 object KSirEngine {
+
+  /** Most topics an engine's model may have: [[subsetKey]] packs a topic id in 12 bits. */
+  val MaxTopicCount = 1 << 12
+
+  /** The key of the topic subset {ids(b) : bit b of `mask` set}, `ids`
+    * ascending and below [[MaxTopicCount]]: the ids in 12 bits each, from
+    * the lowest bit's id in the highest place, and the subset's size above
+    * them, so {1, 2} and {0, 1, 2} differ. Up to `TopicModel.MaxTopics` = 5
+    * ids fill 60 bits.
+    */
+  private[core] def subsetKey(ids: Array[Int], mask: Int): Long = {
+    var key = 0L
+    var m = mask
+    while (m != 0) {
+      key = (key << 12) | ids(Integer.numberOfTrailingZeros(m))
+      m &= m - 1
+    }
+    (Integer.bitCount(mask).toLong << 60) | key
+  }
 
   /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.
     * A heap rather than a FIFO, so expiry stays exact when a bucket carries

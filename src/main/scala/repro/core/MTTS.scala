@@ -3,7 +3,7 @@ package repro.core
 /** MULTI-TOPIC THRESHOLDSTREAM (Algorithm 2): threshold-bucket candidates fed
   * from the ranked lists in decreasing order of x-weighted topic score, with
   * early termination once the cursor's upper bound on unretrieved elements
-  * (UB(x) over at most m lists, DESIGN §6e) falls below the minimum
+  * (the largest pattern sum over its lists, DESIGN §6e) falls below the minimum
   * admission threshold TH of any unfilled candidate.
   *
   * Returns a (1/2 − ε)-approximation (Theorem 2) and evaluates each active

@@ -162,6 +162,30 @@ private[core] final class LongDoubleMap {
     if (2 * n > keys.length) resize(2 * keys.length)
   }
 
+  /** Removes the entry for `key`, if any. Backward-shift deletion: each later
+    * entry of the probe run that may sit in the gap moves into it, so no
+    * tombstones are left and lookups stay as short as after inserts alone.
+    */
+  def remove(key: Long): Unit = {
+    if (n == 0) return
+    val mask = keys.length - 1
+    var gap = slot(key)
+    while (used(gap) && keys(gap) != key) gap = (gap + 1) & mask
+    if (!used(gap)) return
+    var i = (gap + 1) & mask
+    while (used(i)) {
+      // The entry at i may fill the gap when its home slot is not after the
+      // gap on its probe run.
+      if (((i - slot(keys(i))) & mask) >= ((i - gap) & mask)) {
+        keys(gap) = keys(i); vals(gap) = vals(i)
+        gap = i
+      }
+      i = (i + 1) & mask
+    }
+    used(gap) = false
+    n -= 1
+  }
+
   /** An independent map with the same entries: both can change without the other. */
   def copy(): LongDoubleMap = {
     val m = new LongDoubleMap
@@ -230,11 +254,39 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
   private val head = new Array[ActiveElement](d)
   // An element sits once in each list, so one list needs no visited set.
   private val visited: LongDoubleMap = if (d > 1) new LongDoubleMap else null
-  // m: an element sits on at most this many of the d lists.
-  private val m = engine.maxSupport
   var retrievedCount: Int = 0
 
   (0 until d).foreach(advanceList)
+
+  // The maximal sets of lists that some active element's support covers, as
+  // bitmasks over list slots; null for d > TopicModel.MaxTopics, where the
+  // one pattern is every list. Covered sets are closed under taking subsets,
+  // so a set is covered only if it is without its lowest list, and maximal
+  // when no one-list extension of it is covered.
+  private val patterns: Array[Int] =
+    if (d > TopicModel.MaxTopics) null
+    else {
+      val covered = new Array[Boolean](1 << d)
+      var mask = 1
+      while (mask < covered.length) {
+        covered(mask) =
+          if ((mask & (mask - 1)) == 0) head(Integer.numberOfTrailingZeros(mask)) != null
+          else covered(mask & (mask - 1)) && engine.subsetCount(q.entries.idx, mask) > 0
+        mask += 1
+      }
+      val maximal = new Array[Int](covered.length)
+      var n = 0
+      mask = 1
+      while (mask < covered.length) {
+        if (covered(mask)) {
+          var j = 0
+          while (j < d && ((mask & (1 << j)) != 0 || !covered(mask | (1 << j)))) j += 1
+          if (j == d) { maximal(n) = mask; n += 1 }
+        }
+        mask += 1
+      }
+      java.util.Arrays.copyOf(maximal, n)
+    }
 
   private def advanceList(j: Int): Unit = {
     val list = lists(j)
@@ -256,36 +308,35 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
   }
 
   /** The paper's UB(x) = Σ_i x_i·δ_i(e^(i)) over the live heads (§4.1). */
-  def paperUpperBound: Double = bound(d)
+  def paperUpperBound: Double = patternSum(-1)
 
-  /** Upper bound on δ(e, x) of any unretrieved element e: the sum of the m
-    * largest x_i·δ_i(e^(i)) over the live heads, m = `engine.maxSupport`, as
-    * e sits on at most m lists (DESIGN §6e). With at most m live heads this
-    * is [[paperUpperBound]], bit for bit.
+  /** Upper bound on δ(e, x) of any unretrieved element e: the largest pattern
+    * sum over the live heads (DESIGN §6e). e sits only on the lists of its
+    * support P, and some pattern holds P's queried lists; each of e's terms
+    * is at most the head term of its list, summed in the same order, so the
+    * bound is at least δ(e, x) bit for bit. For d > `TopicModel.MaxTopics`
+    * it is [[paperUpperBound]]. Allocates nothing.
     */
-  def upperBound: Double = bound(m)
+  def upperBound: Double =
+    if (patterns == null) paperUpperBound
+    else {
+      var ub = 0.0
+      var p = 0
+      while (p < patterns.length) { ub = math.max(ub, patternSum(patterns(p))); p += 1 }
+      ub
+    }
 
-  /** The sum, in list order as `deltaScore` sums δ(e, x), of the live head
-    * terms that have fewer than `most` live terms before them in (term
-    * descending, list ascending) order. O(d²) and allocates nothing.
+  /** Σ x_j·δ_j(e^(j)) over the live heads of the lists j in `mask`, in list
+    * order, as `deltaScore` sums δ(e, x); −1 names every list, for any d.
     */
-  private def bound(most: Int): Double = {
-    var ub = 0.0
+  private def patternSum(mask: Int): Double = {
+    var s = 0.0
     var j = 0
     while (j < d) {
-      if (head(j) != null) {
-        val v = headTerm(j)
-        var before = 0
-        var i = 0
-        while (i < d) {
-          if (head(i) != null && (headTerm(i) > v || (headTerm(i) == v && i < j))) before += 1
-          i += 1
-        }
-        if (before < most) ub += v
-      }
+      if ((mask & (1 << j)) != 0 && head(j) != null) s += headTerm(j)
       j += 1
     }
-    ub
+    s
   }
 
   def exhausted: Boolean = {

@@ -106,11 +106,13 @@ class BaselinesSpec extends AnyFunSuite {
   }
 
   /** CELF on a boxed `PriorityQueue` of (gain, id) with an id lookup per pop,
-    * as it ran before it moved onto `GainHeap`.
+    * as it ran before it moved onto `GainHeap`, with equal gains dequeued by
+    * id, smaller first, as `GainHeap` does.
     */
   private def boxedCelf(engine: KSirEngine, q: QueryVector, k: Int): KSirResult = {
     val s = new CandidateState(engine, q)
-    val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
+    val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](
+      Ordering.by[(Double, Long), (Double, Long)](e => (e._1, -e._2))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)))
     var evaluated = 0
     engine.activeElements.foreach { ae =>
       val d = s.gain(ae)

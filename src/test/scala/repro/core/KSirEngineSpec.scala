@@ -156,6 +156,10 @@ class KSirEngineSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new KSirEngine(model, 0, 0.5, 1.0))
     intercept[IllegalArgumentException](new KSirEngine(model, 10, 1.5, 1.0))
     intercept[IllegalArgumentException](new KSirEngine(model, 10, 0.5, 0.0))
+    // Subset keys hold topic ids in 12 bits.
+    val wide = new TopicModel(KSirEngine.MaxTopicCount + 1, 1, Array.fill(KSirEngine.MaxTopicCount + 1)(Array(1.0)))
+    intercept[IllegalArgumentException](new KSirEngine(wide, 10, 0.5, 1.0))
+    new KSirEngine(new TopicModel(KSirEngine.MaxTopicCount, 1, Array.fill(KSirEngine.MaxTopicCount)(Array(1.0))), 10, 0.5, 1.0)
   }
 
   test("childCount reports in-window referrers") {
@@ -478,42 +482,70 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(order == Vector(10000L, last.id))
   }
 
-  /** m from scratch: the most topics of any element in A_t. */
-  private def supportOf(eng: KSirEngine): Int = eng.activeElements.map(_.topics.idx.length).maxOption.getOrElse(0)
+  /** From scratch: per set of two or more topics, the active elements whose support contains it. */
+  private def subsetsOf(eng: KSirEngine): Map[Seq[Int], Int] =
+    eng.activeElements.toSeq.flatMap(ae => (2 to ae.topics.idx.length).flatMap(ae.topics.idx.toSeq.combinations))
+      .groupBy(identity).map { case (set, v) => set -> v.size }
 
-  test("maxSupport equals the most topics of any active element after every advance") {
+  /** The engine holds exactly the from-scratch subset counts; returns them. */
+  private def checkSubsets(eng: KSirEngine, what: String): Map[Seq[Int], Int] = {
+    val want = subsetsOf(eng)
+    want.foreach { case (set, c) => assert(eng.subsetCount(set.toArray, (1 << set.length) - 1) == c, s"$what: $set") }
+    assert(eng.subsetsHeld == want.size, what)
+    want
+  }
+
+  test("the subset counts equal a from-scratch count over A_t after every advance") {
     // References reach back 7.5T, so discarded elements are resurrected.
     val g = repro.data.SocialStreamGen.generate(
       repro.data.StreamConfig("support", 3000, 150, 6, 5, 2.0, 3000, 1500, seed = 6L))
     val eng = new KSirEngine(g.model, 200L, 0.5, 5.0)
-    var seen = Set.empty[Int]
+    var sizes = Set.empty[Int]
     (Bucket.bucketize(g.elements, 50, 3000) :+ Bucket(3400, Seq.empty)).foreach { b =>
       eng.advance(b)
-      assert(eng.maxSupport == supportOf(eng), s"t=${b.endTs}")
-      seen += eng.maxSupport
+      sizes ++= checkSubsets(eng, s"t=${b.endTs}").keySet.map(_.length)
     }
-    // 3 while the window holds elements, 0 once the gap has emptied it.
-    assert(seen == Set(0, 3), seen)
+    assert(sizes == Set(2, 3), sizes)
+    // The gap has emptied A_t, and every count went with it.
+    assert(eng.activeCount == 0 && eng.subsetsHeld == 0)
   }
 
-  test("maxSupport falls when the only 3-topic element expires and rises when it is resurrected") {
+  test("the subset counts follow the only 3-topic element through expiry and resurrection") {
     val three = new TopicModel(3, 6, Array(
       Array(0.5, 0.5, 0.0, 0.0, 0.0, 0.0),
       Array(0.0, 0.0, 0.5, 0.5, 0.0, 0.0),
       Array(0.0, 0.0, 0.0, 0.0, 0.5, 0.5),
     ))
     val eng = new KSirEngine(three, 4, 0.5, 2.0)
-    val ms = Seq(
+    val held = Seq(
       Bucket(1, Seq(el(1, 1, Seq(0, 2, 4), Seq(0 -> 0.5, 1 -> 0.3, 2 -> 0.2)))),
       Bucket(3, Seq(el(2, 3, Seq(1), Seq(0 -> 1.0)))),
       Bucket(5, Seq.empty), // window [2,5]: e1 leaves, e2 stays
       Bucket(6, Seq(el(3, 6, Seq(3), Seq(1 -> 1.0), refs = Seq(1)))), // resurrects e1
     ).map { b =>
       eng.advance(b)
-      assert(eng.maxSupport == supportOf(eng), s"t=${b.endTs}")
-      eng.maxSupport
+      checkSubsets(eng, s"t=${b.endTs}")
+      eng.subsetsHeld
     }
-    assert(ms == Seq(3, 3, 1, 3))
+    // {0, 1}, {0, 2}, {1, 2} and {0, 1, 2}, under four distinct keys.
+    assert(held == Seq(4, 4, 0, 4))
     assert(eng.activeElement(1).isDefined)
+  }
+
+  test("an element with more topics than TopicModel.MaxTopics is rejected and leaves the engine unchanged") {
+    val six = new TopicModel(6, 4, Array.fill(6)(Array.fill(4)(0.25)))
+    val eng = new KSirEngine(six, 4, 0.5, 2.0)
+    def spread(n: Int) = (0 until n).map(_ -> 1.0 / n)
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0, 1), spread(TopicModel.MaxTopics)))))
+    def state = (eng.now, eng.activeCount, (0 until 6).map(eng.rankedList(_).toSeq), eng.subsetsHeld,
+      eng.activeElement(1).get.childCount)
+    val before = state
+    assert(before._4 == 26) // 2^5 − 1 − 5 subsets of e1's five topics
+    intercept[IllegalArgumentException](eng.advance(Bucket(2, Seq(
+      el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)), el(3, 2, Seq(2), spread(TopicModel.MaxTopics + 1))))))
+    assert(state == before)
+    assert(eng.activeElement(2).isEmpty && eng.activeElement(3).isEmpty)
+    eng.advance(Bucket(2, Seq(el(2, 2, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
+    assert(eng.activeCount == 2 && eng.subsetsHeld == 26)
   }
 }

@@ -90,7 +90,9 @@ class MTTDSpec extends AnyFunSuite {
     val gains = Array(0.0, -0.0, 0.1, 0.2, 0.2, 0.3)
     (0 until 50).foreach { round =>
       val heap = new GainHeap
-      val want = scala.collection.mutable.PriorityQueue.empty[(Double, ActiveElement)](Ordering.by(_._1))
+      // By gain, then by id, smaller first.
+      val want = scala.collection.mutable.PriorityQueue.empty[(Double, ActiveElement)](
+        Ordering.by[(Double, ActiveElement), (Double, Long)](e => (e._1, -e._2.elem.id))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long)))
       (0 until 200).foreach { step =>
         if (want.nonEmpty && rnd.nextInt(3) == 0) {
           assert(heap.headGain == want.head._1, s"round $round step $step")

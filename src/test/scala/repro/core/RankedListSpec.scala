@@ -5,7 +5,8 @@ import repro.data.{SocialStreamGen, StreamConfig}
 import scala.collection.mutable
 
 /** The chunked ranked list against a `TreeSet` in the same order, the cursor
-  * against the §4.1 traversal over `TreeSet` snapshots of the lists, and a
+  * against the §4.1 traversal over `TreeSet` snapshots of the lists and a
+  * scan of A_t's supports, and a
   * guard that list upkeep, single-topic pops and the cursor's bound allocate
   * nothing.
   */
@@ -116,10 +117,11 @@ class RankedListSpec extends AnyFunSuite {
 
   /** The §4.1 traversal over `TreeSet` snapshots: per list an iterator, a
     * head skipping visited ids, pops by the argmax of x_i·δ_i, and a bound
-    * that sums the m largest x_i·δ_i over live heads, with m the most topics
-    * of any element.
+    * that is the largest sum of live head terms over `patterns`, the sets of
+    * list slots that active elements' supports cover, or every live term for
+    * d > `TopicModel.MaxTopics`.
     */
-  private final class ReferenceCursor(snapshots: Array[mutable.TreeSet[(Double, Long)]], x: Array[Double], m: Int) {
+  private final class ReferenceCursor(snapshots: Array[mutable.TreeSet[(Double, Long)]], x: Array[Double], patterns: Set[Seq[Int]]) {
     private val visited = mutable.HashSet.empty[Long]
     private val iters = snapshots.map(_.iterator)
     private val heads = new Array[(Double, Long)](x.length)
@@ -134,19 +136,14 @@ class RankedListSpec extends AnyFunSuite {
       }
     }
 
-    /** The paper's UB: every live term x_j·δ_j, summed in list order. */
-    def paperUpperBound: Double = x.indices.filter(heads(_) != null).foldLeft(0.0)((ub, j) => ub + x(j) * heads(j)._1)
+    /** The live terms x_j·δ_j of the slots `js`, summed in list order. */
+    private def sum(js: Seq[Int]): Double = js.filter(heads(_) != null).foldLeft(0.0)((ub, j) => ub + x(j) * heads(j)._1)
 
-    /** The live terms (x_j·δ_j, j); with more than m of them, the m largest,
-      * ties to the lower j, back in list order; summed in list order.
-      */
-    def upperBound: Double = {
-      val live = x.indices.filter(heads(_) != null).map(j => (x(j) * heads(j)._1, j))
-      val kept =
-        if (live.size <= m) live
-        else live.sortWith((a, b) => a._1 > b._1 || (a._1 == b._1 && a._2 < b._2)).take(m).sortBy(_._2)
-      kept.foldLeft(0.0)(_ + _._1)
-    }
+    /** The paper's UB: every live term x_j·δ_j, summed in list order. */
+    def paperUpperBound: Double = sum(x.indices)
+
+    def upperBound: Double =
+      if (x.length > TopicModel.MaxTopics) paperUpperBound else patterns.foldLeft(0.0)((ub, p) => math.max(ub, sum(p)))
 
     def exhausted: Boolean = heads.forall(_ == null)
 
@@ -172,30 +169,31 @@ class RankedListSpec extends AnyFunSuite {
       val eng = new KSirEngine(g.model, 1200L, 0.5, 5.0)
       val rnd = new scala.util.Random(seed)
       var queries = 0
-      var beyondM = 0
+      var tighter = 0
       Bucket.bucketize(g.elements, 300, 3600).zipWithIndex.foreach { case (b, bi) =>
         eng.advance(b)
         if (bi >= 3) {
-          // Snapshots and m built from A_t, not from the lists under test.
+          // Snapshots and patterns built from A_t, not from the lists or the
+          // counts under test.
           val snap = Array.fill(g.model.z)(mutable.TreeSet.empty[(Double, Long)](ListOrder))
           eng.activeElements.foreach(ae => ae.elem.topics.idx.foreach(t => snap(t) += ((ae.delta(t), ae.elem.id))))
           assert(snap.exists(_.size > 3 * 64), "some list spans several chunks")
-          val m = eng.activeElements.map(_.elem.topics.idx.length).max
-          assert(m < TopicModel.MaxTopics)
           (0 until 8).foreach { _ =>
             val topics = Seq.fill(1 + rnd.nextInt(TopicModel.MaxTopics))(rnd.nextInt(g.model.z)).distinct.sorted
             val w = topics.map(_ => 0.1 + rnd.nextDouble())
             val q = QueryVector(topics.zip(w.map(_ / w.sum)): _*)
-            if (q.d > m) beyondM += 1
+            val patterns = eng.activeElements.map(ae => q.entries.idx.indices.filter(j => ae.topics(q.entries.idx(j)) > 0.0)).toSet[Seq[Int]]
             val cursor = new RankedListCursor(eng, q)
-            val want = new ReferenceCursor(q.entries.idx.map(snap), q.entries.v, m)
+            val want = new ReferenceCursor(q.entries.idx.map(snap), q.entries.v, patterns)
             var step = 0
             var done = false
+            var tight = false
             while (!done) {
               val what = s"seed $seed t=${b.endTs} query ${q.entries.toSeq} step $step"
               assert(cursor.exhausted == want.exhausted, what)
               assert(cursor.upperBound == want.upperBound, what)
               assert(cursor.paperUpperBound == want.paperUpperBound, what)
+              tight ||= want.upperBound < want.paperUpperBound
               val ae = cursor.popMax()
               val id = want.popMax()
               assert((if (ae == null) -1L else ae.elem.id) == id, what)
@@ -204,10 +202,11 @@ class RankedListSpec extends AnyFunSuite {
               step += 1
             }
             queries += 1
+            if (tight) tighter += 1
           }
         }
       }
-      assert(queries > 0 && beyondM > 0, s"$queries queries, $beyondM with more topics than m")
+      assert(queries > 0 && tighter > 0, s"$queries queries, $tighter with a bound below the paper's")
     }
   }
 
@@ -272,7 +271,7 @@ class RankedListSpec extends AnyFunSuite {
     Bucket.bucketize(g.elements, 300, 3600).foreach(eng.advance)
     val topics = (0 until g.model.z).sortBy(t => -eng.rankedListSize(t)).take(TopicModel.MaxTopics)
     val q = QueryVector(topics.map(t => t -> 0.2): _*)
-    assert(q.d > eng.maxSupport)
+    assert(q.d > eng.activeElements.map(_.topics.idx.length).max)
     val cursor = new RankedListCursor(eng, q)
     cursor.popMax()
     val paper = cursor.paperUpperBound
@@ -280,7 +279,7 @@ class RankedListSpec extends AnyFunSuite {
     def run(): Unit = { var i = 0; while (i < 10000) { sink += cursor.upperBound; i += 1 } }
     (0 until 5).foreach(_ => run())
     val perCall = allocatedPerCall(10000)(run())
-    assert(cursor.upperBound < paper, "the bound drops the smallest live terms")
+    assert(cursor.upperBound < paper, "no active element covers every queried topic")
     assert(sink > 0.0 && perCall < 8.0, s"upperBound allocated $perCall bytes per call")
   }
 }
