@@ -245,7 +245,7 @@ final class KSirEngine(
     * element's support contains are held. A single topic needs no count: it
     * is covered exactly when its ranked list is non-empty.
     */
-  private val subsetCounts = new LongDoubleMap
+  private val subsetCounts = new KSirEngine.LongCountMap
 
   /** Current time t: the end of the last ingested bucket (Long.MinValue before the first). */
   def now: Long = nowTs
@@ -262,7 +262,7 @@ final class KSirEngine(
     * bits b of `mask` (ids ascending, two or more bits set).
     */
   private[core] def subsetCount(ids: Array[Int], mask: Int): Int =
-    subsetCounts.getOrElse(KSirEngine.subsetKey(ids, mask), 0.0).toInt
+    subsetCounts.count(KSirEngine.subsetKey(ids, mask))
 
   /** Number of subsets of two or more topics that some active element's support contains. */
   private[core] def subsetsHeld: Int = subsetCounts.size
@@ -402,7 +402,7 @@ final class KSirEngine(
       index(ae.elem.id) = ae.elem
       nActive -= 1
       scan(ae.pos) = null
-      countSubsets(ae, -1.0)
+      countSubsets(ae, -1)
     } else if (dropped) relist(ae, keep = true)
   }
 
@@ -420,7 +420,7 @@ final class KSirEngine(
     scanEnd += 1
     index(e.id) = ae
     nActive += 1
-    countSubsets(ae, 1.0)
+    countSubsets(ae, 1)
     relist(ae, keep = true)
     ae
   }
@@ -428,15 +428,11 @@ final class KSirEngine(
   /** Adds `by` to the count of every subset of two or more of ae's topics:
     * 2^s − 1 − s updates for s topics.
     */
-  private def countSubsets(ae: ActiveElement, by: Double): Unit = {
+  private def countSubsets(ae: ActiveElement, by: Int): Unit = {
     val ids = ae.topics.idx
     var mask = 3
     while (mask < (1 << ids.length)) {
-      if ((mask & (mask - 1)) != 0) {
-        val key = KSirEngine.subsetKey(ids, mask)
-        val c = subsetCounts.getOrElse(key, 0.0) + by
-        if (c == 0.0) subsetCounts.remove(key) else subsetCounts(key) = c
-      }
+      if ((mask & (mask - 1)) != 0) subsetCounts.add(KSirEngine.subsetKey(ids, mask), by)
       mask += 1
     }
   }
@@ -520,7 +516,7 @@ object KSirEngine {
     * them, so {1, 2} and {0, 1, 2} differ. Up to `TopicModel.MaxTopics` = 5
     * ids fill 60 bits.
     */
-  private[core] def subsetKey(ids: Array[Int], mask: Int): Long = {
+  private def subsetKey(ids: Array[Int], mask: Int): Long = {
     var key = 0L
     var m = mask
     while (m != 0) {
@@ -528,6 +524,81 @@ object KSirEngine {
       m &= m - 1
     }
     (Integer.bitCount(mask).toLong << 60) | key
+  }
+
+  /** Positive counts by Long key, by open addressing with linear probing over
+    * two primitive arrays. A count of 0 marks an empty slot, so every Long is
+    * a valid key and no occupancy array is kept. A count brought to 0 is
+    * deleted by backward shift: each later entry of the probe run that may
+    * sit in the gap moves into it, so no tombstones are left.
+    */
+  private[core] final class LongCountMap {
+    private var keys = new Array[Long](16)
+    private var counts = new Array[Int](16)
+    private var shift = 60
+    private var n = 0
+
+    def size: Int = n
+
+    /** The count of `key`, 0 when absent. */
+    def count(key: Long): Int = {
+      var i = slot(key)
+      while (counts(i) != 0) {
+        if (keys(i) == key) return counts(i)
+        i = (i + 1) & (keys.length - 1)
+      }
+      0
+    }
+
+    /** Adds `by` to the count of `key`; the count must not fall below 0. */
+    def add(key: Long, by: Int): Unit = {
+      val mask = keys.length - 1
+      var i = slot(key)
+      while (counts(i) != 0 && keys(i) != key) i = (i + 1) & mask
+      val c = counts(i) + by
+      require(c >= 0, s"count of $key would fall to $c")
+      if (counts(i) == 0) {
+        if (c == 0) return
+        keys(i) = key; counts(i) = c
+        n += 1
+        if (4 * n > 3 * keys.length) resize(2 * keys.length)
+      } else if (c > 0) counts(i) = c
+      else {
+        var gap = i
+        var j = (i + 1) & mask
+        while (counts(j) != 0) {
+          // The entry at j may fill the gap unless its home slot lies after
+          // the gap on its probe run.
+          if (((j - slot(keys(j))) & mask) >= ((j - gap) & mask)) {
+            keys(gap) = keys(j); counts(gap) = counts(j)
+            gap = j
+          }
+          j = (j + 1) & mask
+        }
+        counts(gap) = 0
+        n -= 1
+      }
+    }
+
+    /** Fibonacci hashing, as `LongDoubleMap` does. */
+    private def slot(key: Long): Int = ((key * 0x9e3779b97f4a7c15L) >>> shift).toInt
+
+    private def resize(capacity: Int): Unit = {
+      val oldKeys = keys
+      val oldCounts = counts
+      keys = new Array[Long](capacity)
+      counts = new Array[Int](capacity)
+      shift = 64 - Integer.numberOfTrailingZeros(capacity)
+      var k = 0
+      while (k < oldKeys.length) {
+        if (oldCounts(k) != 0) {
+          var i = slot(oldKeys(k))
+          while (counts(i) != 0) i = (i + 1) & (capacity - 1)
+          keys(i) = oldKeys(k); counts(i) = oldCounts(k)
+        }
+        k += 1
+      }
+    }
   }
 
   /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.

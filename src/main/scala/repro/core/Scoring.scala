@@ -162,30 +162,6 @@ private[core] final class LongDoubleMap {
     if (2 * n > keys.length) resize(2 * keys.length)
   }
 
-  /** Removes the entry for `key`, if any. Backward-shift deletion: each later
-    * entry of the probe run that may sit in the gap moves into it, so no
-    * tombstones are left and lookups stay as short as after inserts alone.
-    */
-  def remove(key: Long): Unit = {
-    if (n == 0) return
-    val mask = keys.length - 1
-    var gap = slot(key)
-    while (used(gap) && keys(gap) != key) gap = (gap + 1) & mask
-    if (!used(gap)) return
-    var i = (gap + 1) & mask
-    while (used(i)) {
-      // The entry at i may fill the gap when its home slot is not after the
-      // gap on its probe run.
-      if (((i - slot(keys(i))) & mask) >= ((i - gap) & mask)) {
-        keys(gap) = keys(i); vals(gap) = vals(i)
-        gap = i
-      }
-      i = (i + 1) & mask
-    }
-    used(gap) = false
-    n -= 1
-  }
-
   /** An independent map with the same entries: both can change without the other. */
   def copy(): LongDoubleMap = {
     val m = new LongDoubleMap
