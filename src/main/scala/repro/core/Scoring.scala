@@ -235,12 +235,12 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
   (0 until d).foreach(advanceList)
 
   // The maximal sets of lists that some active element's support covers, as
-  // bitmasks over list slots; null for d > TopicModel.MaxTopics, where the
-  // one pattern is every list. Covered sets are closed under taking subsets,
+  // bitmasks over list slots; for d > TopicModel.MaxTopics the one pattern
+  // is every list (−1). Covered sets are closed under taking subsets,
   // so a set is covered only if it is without its lowest list, and maximal
   // when no one-list extension of it is covered.
   private val patterns: Array[Int] =
-    if (d > TopicModel.MaxTopics) null
+    if (d > TopicModel.MaxTopics) Array(-1)
     else {
       val covered = new Array[Boolean](1 << d)
       var mask = 1
@@ -293,14 +293,12 @@ final class RankedListCursor(engine: KSirEngine, q: QueryVector) {
     * bound is at least δ(e, x) bit for bit. For d > `TopicModel.MaxTopics`
     * it is [[paperUpperBound]]. Allocates nothing.
     */
-  def upperBound: Double =
-    if (patterns == null) paperUpperBound
-    else {
-      var ub = 0.0
-      var p = 0
-      while (p < patterns.length) { ub = math.max(ub, patternSum(patterns(p))); p += 1 }
-      ub
-    }
+  def upperBound: Double = {
+    var ub = 0.0
+    var p = 0
+    while (p < patterns.length) { ub = math.max(ub, patternSum(patterns(p))); p += 1 }
+    ub
+  }
 
   /** Σ x_j·δ_j(e^(j)) over the live heads of the lists j in `mask`, in list
     * order, as `deltaScore` sums δ(e, x); −1 names every list, for any d.
