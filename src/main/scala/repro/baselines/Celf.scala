@@ -23,10 +23,11 @@ object Celf {
     }
 
     while (s.size < k && heap.nonEmpty) {
-      val cached = heap.headGain
       val ae = heap.dequeue()
       val g = s.gain(ae)
-      if (g >= cached - 1e-12 || heap.isEmpty || g >= heap.headGain) {
+      // Exact lazy greedy: by submodularity a cached gain bounds the fresh
+      // one, so ae is the greedy choice once it beats every cached gain.
+      if (heap.isEmpty || g >= heap.headGain) {
         if (g > 0.0) s.add(ae)
       } else {
         heap.enqueue(g, ae)

@@ -48,7 +48,8 @@ object Bucket {
     if (a.ts != b.ts) java.lang.Long.compare(a.ts, b.ts) else java.lang.Long.compare(a.id, b.id)
 
   /** Partition a stream, in any order, into buckets of length L, from the
-    * first bucket end that covers the earliest element through `endTs`.
+    * first bucket end that covers the earliest element through `endTs`, or
+    * through the latest element's bucket if that ends later.
     */
   def bucketize(elements: Seq[Element], bucketLength: Long, endTs: Long): Seq[Bucket] = {
     require(bucketLength > 0, s"bucket length must be positive, got $bucketLength")
@@ -57,6 +58,6 @@ object Bucket {
     def endOf(ts: Long): Long = Math.floorDiv(ts + bucketLength - 1, bucketLength) * bucketLength
     val grouped = elements.groupBy(e => endOf(e.ts))
     val firstEnd = grouped.keys.min
-    firstEnd.to(math.max(firstEnd, endOf(endTs)), bucketLength).map(t => Bucket(t, grouped.getOrElse(t, Seq.empty)))
+    firstEnd.to(math.max(grouped.keys.max, endOf(endTs)), bucketLength).map(t => Bucket(t, grouped.getOrElse(t, Seq.empty)))
   }
 }

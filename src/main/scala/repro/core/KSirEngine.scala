@@ -245,7 +245,7 @@ final class KSirEngine(
     * element's support contains are held. A single topic needs no count: it
     * is covered exactly when its ranked list is non-empty.
     */
-  private val subsetCounts = new KSirEngine.LongCountMap
+  private val subsetCounts = new LongDoubleMap
 
   /** Current time t: the end of the last ingested bucket (Long.MinValue before the first). */
   def now: Long = nowTs
@@ -262,7 +262,7 @@ final class KSirEngine(
     * bits b of `mask` (ids ascending, two or more bits set).
     */
   private[core] def subsetCount(ids: Array[Int], mask: Int): Int =
-    subsetCounts.count(KSirEngine.subsetKey(ids, mask))
+    subsetCounts.getOrElse(KSirEngine.subsetKey(ids, mask), 0.0).toInt
 
   /** Number of subsets of two or more topics that some active element's support contains. */
   private[core] def subsetsHeld: Int = subsetCounts.size
@@ -432,7 +432,12 @@ final class KSirEngine(
     val ids = ae.topics.idx
     var mask = 3
     while (mask < (1 << ids.length)) {
-      if ((mask & (mask - 1)) != 0) subsetCounts.add(KSirEngine.subsetKey(ids, mask), by)
+      if ((mask & (mask - 1)) != 0) {
+        val key = KSirEngine.subsetKey(ids, mask)
+        val c = subsetCounts.getOrElse(key, 0.0) + by
+        require(c >= 0, s"count of subset $key would fall to $c")
+        if (c == 0) subsetCounts.remove(key) else subsetCounts(key) = c
+      }
       mask += 1
     }
   }
@@ -524,81 +529,6 @@ object KSirEngine {
       m &= m - 1
     }
     (Integer.bitCount(mask).toLong << 60) | key
-  }
-
-  /** Positive counts by Long key, by open addressing with linear probing over
-    * two primitive arrays. A count of 0 marks an empty slot, so every Long is
-    * a valid key and no occupancy array is kept. A count brought to 0 is
-    * deleted by backward shift: each later entry of the probe run that may
-    * sit in the gap moves into it, so no tombstones are left.
-    */
-  private[core] final class LongCountMap {
-    private var keys = new Array[Long](16)
-    private var counts = new Array[Int](16)
-    private var shift = 60
-    private var n = 0
-
-    def size: Int = n
-
-    /** The count of `key`, 0 when absent. */
-    def count(key: Long): Int = {
-      var i = slot(key)
-      while (counts(i) != 0) {
-        if (keys(i) == key) return counts(i)
-        i = (i + 1) & (keys.length - 1)
-      }
-      0
-    }
-
-    /** Adds `by` to the count of `key`; the count must not fall below 0. */
-    def add(key: Long, by: Int): Unit = {
-      val mask = keys.length - 1
-      var i = slot(key)
-      while (counts(i) != 0 && keys(i) != key) i = (i + 1) & mask
-      val c = counts(i) + by
-      require(c >= 0, s"count of $key would fall to $c")
-      if (counts(i) == 0) {
-        if (c == 0) return
-        keys(i) = key; counts(i) = c
-        n += 1
-        if (4 * n > 3 * keys.length) resize(2 * keys.length)
-      } else if (c > 0) counts(i) = c
-      else {
-        var gap = i
-        var j = (i + 1) & mask
-        while (counts(j) != 0) {
-          // The entry at j may fill the gap unless its home slot lies after
-          // the gap on its probe run.
-          if (((j - slot(keys(j))) & mask) >= ((j - gap) & mask)) {
-            keys(gap) = keys(j); counts(gap) = counts(j)
-            gap = j
-          }
-          j = (j + 1) & mask
-        }
-        counts(gap) = 0
-        n -= 1
-      }
-    }
-
-    /** Fibonacci hashing, as `LongDoubleMap` does. */
-    private def slot(key: Long): Int = ((key * 0x9e3779b97f4a7c15L) >>> shift).toInt
-
-    private def resize(capacity: Int): Unit = {
-      val oldKeys = keys
-      val oldCounts = counts
-      keys = new Array[Long](capacity)
-      counts = new Array[Int](capacity)
-      shift = 64 - Integer.numberOfTrailingZeros(capacity)
-      var k = 0
-      while (k < oldKeys.length) {
-        if (oldCounts(k) != 0) {
-          var i = slot(oldKeys(k))
-          while (counts(i) != 0) i = (i + 1) & (capacity - 1)
-          keys(i) = oldKeys(k); counts(i) = oldCounts(k)
-        }
-        k += 1
-      }
-    }
   }
 
   /** Binary min-heap of (ts, id) events on ts, kept in two primitive arrays.

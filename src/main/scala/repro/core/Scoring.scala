@@ -162,6 +162,29 @@ private[core] final class LongDoubleMap {
     if (2 * n > keys.length) resize(2 * keys.length)
   }
 
+  /** Deletes `key` if present, by backward shift: each later entry of the
+    * probe run that may sit in the gap moves into it, so no tombstones are left.
+    */
+  def remove(key: Long): Unit = {
+    if (n == 0) return
+    val mask = keys.length - 1
+    var gap = slot(key)
+    while (used(gap) && keys(gap) != key) gap = (gap + 1) & mask
+    if (!used(gap)) return
+    var j = (gap + 1) & mask
+    while (used(j)) {
+      // The entry at j may fill the gap unless its home slot lies after the
+      // gap on its probe run.
+      if (((j - slot(keys(j))) & mask) >= ((j - gap) & mask)) {
+        keys(gap) = keys(j); vals(gap) = vals(j)
+        gap = j
+      }
+      j = (j + 1) & mask
+    }
+    used(gap) = false
+    n -= 1
+  }
+
   /** An independent map with the same entries: both can change without the other. */
   def copy(): LongDoubleMap = {
     val m = new LongDoubleMap

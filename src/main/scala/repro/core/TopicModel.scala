@@ -51,13 +51,13 @@ object TopicModel {
 }
 
 /** A z-dimensional query vector x (sparse): the user's degree of interest on
-  * each topic (§3.2). Any positive entries are accepted, summing to 1 or not:
+  * each topic (§3.2). Any finite positive entries are accepted, summing to 1 or not:
   * f(S, x) stays a non-negative combination of monotone submodular f_i, so
   * Theorems 2–3 and both cursor bounds hold (DESIGN §1). `QueryGen` and
   * [[TopicModel.infer]] build vectors that sum to 1.
   */
 final case class QueryVector(entries: SparseVec) {
-  require(entries.v.forall(_ > 0), "query vector entries must be positive")
+  require(entries.v.forall(x => x > 0 && x < Double.PositiveInfinity), "query vector entries must be finite and positive")
 
   /** d: the number of non-zero entries (used in the complexity analyses). */
   def d: Int = entries.idx.length

@@ -120,10 +120,10 @@ class BaselinesSpec extends AnyFunSuite {
       if (d > 0.0) heap.enqueue((d, ae.elem.id))
     }
     while (s.size < k && heap.nonEmpty) {
-      val (cached, id) = heap.dequeue()
+      val (_, id) = heap.dequeue()
       val ae = engine.activeElement(id).get
       val g = s.gain(ae)
-      if (g >= cached - 1e-12 || heap.isEmpty || g >= heap.head._1) {
+      if (heap.isEmpty || g >= heap.head._1) {
         if (g > 0.0) s.add(ae)
       } else heap.enqueue((g, id))
     }
@@ -158,6 +158,31 @@ class BaselinesSpec extends AnyFunSuite {
           assert(got.evaluated == want.evaluated && got.retrieved == want.retrieved, what)
         }
     }
+  }
+
+  test("CELF picks as plain greedy does when gains differ by under 1e-12") {
+    // One topic and λ = 1, so f(S, x) = Σ_w max_{e∈S} σ(w, e). C covers words 0
+    // and 1, A words 1 and 2, B word 3. Word 1's σ is about 3e-13, and word 3's
+    // σ exceeds word 2's by about 6e-14: A beats B alone, but once C holds
+    // word 1, B beats A by less than 1e-12.
+    val rest = 1.0 - 0.3 - 1e-14 - 0.2 - (0.2 + 1e-13)
+    val model = new TopicModel(1, 5, Array(Array(0.3, 1e-14, 0.2, 0.2 + 1e-13, rest)))
+    def el(id: Long, words: Int*) = Element(id, 1, words.toArray, Array.empty, SparseVec(0 -> 1.0))
+    val (c, a, b) = (el(1, 0, 1), el(2, 1, 2), el(3, 3))
+    val eng = new KSirEngine(model, 100, 1.0, 5.0)
+    eng.advance(Bucket(1, Seq(c, a, b)))
+    val q = QueryVector(0 -> 1.0)
+    val ae = Seq(c, a, b).map(e => eng.activeElement(e.id).get)
+    val s = new CandidateState(eng, q)
+    assert(s.gain(ae(0)) > s.gain(ae(1)) && s.gain(ae(1)) > s.gain(ae(2)))
+    s.add(ae(0))
+    val (gA, gB) = (s.gain(ae(1)), s.gain(ae(2)))
+    assert(gA < gB && gB - gA < 1e-12, s"gains after C: A $gA, B $gB")
+    // Plain greedy: the greatest fresh gain each round.
+    val greedy = new CandidateState(eng, q)
+    (1 to 2).foreach(_ => greedy.add(ae.filterNot(e => greedy.members.contains(e.elem.id)).maxBy(greedy.gain)))
+    assert(greedy.members == Seq(1L, 3L))
+    assert(Celf.query(eng, q, 2).elements == greedy.members)
   }
 
   /** SieveStreaming as it ran before threshold candidates shared states: every

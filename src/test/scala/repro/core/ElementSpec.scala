@@ -54,6 +54,12 @@ class ElementSpec extends AnyFunSuite {
     assert(buckets.count(_.elements.nonEmpty) == 2)
   }
 
+  test("bucketize runs past endTs through the latest element's bucket") {
+    val buckets = Bucket.bucketize(Seq(el(1, 1), el(2, 9)), 2, 5)
+    assert(buckets.map(_.endTs) == Seq(2L, 4L, 6L, 8L, 10L))
+    assert(buckets.flatMap(_.elements).map(_.id) == Seq(1L, 2L))
+  }
+
   test("bucketize of an empty stream is empty") {
     assert(Bucket.bucketize(Seq.empty, 5, 100).isEmpty)
   }

@@ -54,6 +54,12 @@ class TopicModelSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](QueryVector(SparseVec(0 -> -0.1)))
   }
 
+  test("query vector entries must be finite") {
+    intercept[IllegalArgumentException](QueryVector(0 -> Double.PositiveInfinity))
+    intercept[IllegalArgumentException](QueryVector(SparseVec(0 -> 0.5, 1 -> Double.PositiveInfinity)))
+    intercept[IllegalArgumentException](QueryVector(SparseVec(0 -> Double.NaN)))
+  }
+
   test("QueryVector.apply drops zero entries and sorts") {
     val q = QueryVector(3 -> 0.5, 1 -> 0.5, 2 -> 0.0)
     assert(q.entries.idx.toSeq == Seq(1, 3))
