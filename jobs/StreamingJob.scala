@@ -17,7 +17,7 @@ import repro.spark.{StreamingRankedLists, TopicEvent}
 object StreamingJob {
   def main(args: Array[String]): Unit = {
     val nBuckets = args.headOption.map(_.toInt).getOrElse(12)
-    val spark = SparkSession.builder.appName("ksir-streaming")
+    val spark = SparkSession.builder().appName("ksir-streaming")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     import spark.implicits._
     try {

@@ -1,33 +1,30 @@
 package repro.baselines
 
 import repro.core._
-import scala.collection.mutable
 
-/** Top-k Representative: the k elements with the highest singleton scores
-  * δ(e, x), retrieved from the ranked lists with a threshold-algorithm-style
-  * early stop (traverse in decreasing x-weighted order; stop when the upper
-  * bound falls below the k-th best exact score). Only 1/k-approximate for
-  * k-SIR because word/influence overlaps are ignored — the paper compares
-  * against it to show plain top-k is not enough.
+/** Top-k Representative: the first k elements of A_t by (δ(e, x) descending,
+  * id ascending), retrieved on demand with the threshold algorithm's stop
+  * rule: the buffer's head is taken once the cursor's bound falls below it,
+  * as MTTD does. Only 1/k-approximate for k-SIR because word/influence
+  * overlaps are ignored — the paper compares against it to show plain top-k
+  * is not enough.
   */
 object TopKRepresentative {
 
   def query(engine: KSirEngine, q: QueryVector, k: Int): KSirResult = {
     require(k >= 1, "k must be at least 1")
     val cursor = new RankedListCursor(engine, q)
-    // Min-heap of the current best k: (δ(e,x), id).
-    val top = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by[(Double, Long), Double](_._1).reverse)
+    val s = new CandidateState(engine, q)
+    // Retrieved elements with δ(e, x) > 0, keyed by δ(e, x).
+    val buffer = new GainHeap
 
-    while (!cursor.exhausted && (top.size < k || cursor.upperBound >= top.head._1)) {
-      val ae = cursor.popMax()
-      val d = engine.deltaScore(ae, q)
-      if (d > 0.0) {
-        top.enqueue((d, ae.elem.id))
-        if (top.size > k) top.dequeue()
-      }
+    while (s.size < k && (buffer.nonEmpty || !cursor.exhausted)) {
+      if (!cursor.exhausted && (buffer.isEmpty || cursor.upperBound >= buffer.headGain)) {
+        val ae = cursor.popMax()
+        val d = engine.deltaScore(ae, q)
+        if (d > 0.0) buffer.enqueue(d, ae)
+      } else s.add(buffer.dequeue())
     }
-
-    val ids = top.toSeq.sortBy(-_._1).map(_._2)
-    KSirResult(ids, engine.evaluate(ids, q), cursor.retrievedCount, cursor.retrievedCount)
+    KSirResult(s.members, s.score, cursor.retrievedCount, cursor.retrievedCount)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
-/** Max-heap of (gain, element) on two arrays, 1-based: the lazy-greedy queue
-  * of cached marginal gains that MTTD's buffer E' and CELF both use. Entries
+/** Max-heap of (gain, element) on two arrays, 1-based: MTTD's buffer E', CELF's
+  * queue of cached gains, and Top-k Rep's buffer keyed by δ(e, x). Entries
   * are ordered by gain under `java.lang.Double.compare`, and equal gains by
   * element id, smaller id first. With distinct elements that order is total,
   * so what leaves the heap next depends only on what it holds, not on the

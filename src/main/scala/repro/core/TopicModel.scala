@@ -6,7 +6,8 @@ package repro.core
   *
   * @param z         number of topics
   * @param vocabSize vocabulary size m
-  * @param topicWord `topicWord(i)(w) = p_i(w)`; each row sums to 1
+  * @param topicWord `topicWord(i)(w) = p_i(w)` in [0, 1], so σ's −p·log p
+  *                  terms are non-negative (DESIGN §6e); rows need not sum to 1
   */
 final class TopicModel(
     val z: Int,
@@ -15,6 +16,7 @@ final class TopicModel(
 ) {
   require(topicWord.length == z, s"expected $z topic rows, got ${topicWord.length}")
   require(topicWord.forall(_.length == vocabSize), "topic-word rows must span the vocabulary")
+  require(topicWord.forall(_.forall(p => p >= 0.0 && p <= 1.0)), "topic-word probabilities must be finite and in [0, 1]")
 
   /** p_i(w): probability of word w on topic i. */
   def pWord(i: Int, w: Int): Double = topicWord(i)(w)
@@ -40,7 +42,7 @@ final class TopicModel(
     val top = scores.zipWithIndex.filter(_._1 > 0).sortBy(-_._1).take(TopicModel.MaxTopics)
     val norm = top.map(_._1).sum
     if (norm <= 0) SparseVec.empty
-    else SparseVec(top.map { case (s, t) => (t, s / norm) }.sortBy(_._1): _*)
+    else SparseVec(top.map { case (s, t) => (t, s / norm) }.sortBy(_._1).toSeq: _*)
   }
 }
 
@@ -64,7 +66,8 @@ final case class QueryVector(entries: SparseVec) {
 }
 
 object QueryVector {
-  def apply(pairs: (Int, Double)*): QueryVector = QueryVector(SparseVec(pairs.filter(_._2 > 0).sortBy(_._1): _*))
+  /** From (topic, x_i) pairs in any order; only entries equal to 0 are dropped. */
+  def apply(pairs: (Int, Double)*): QueryVector = QueryVector(SparseVec(pairs.filter(_._2 != 0.0).sortBy(_._1): _*))
 
   /** Build a query vector from keywords via the topic model (§3.2). */
   def fromKeywords(model: TopicModel, keywords: Seq[Int]): QueryVector = QueryVector(model.infer(keywords))

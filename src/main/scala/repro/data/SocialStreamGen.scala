@@ -142,7 +142,7 @@ object SocialStreamGen {
         (t, if (i == 0) 0.6 + 0.4 * rnd.nextDouble() else rnd.nextDouble())
       }
       val wNorm = weights.map(_._2).sum
-      val topics = SparseVec(weights.map { case (t, w) => (t, w / wNorm) }.sortBy(_._1): _*)
+      val topics = SparseVec(weights.map { case (t, w) => (t, w / wNorm) }.sortBy(_._1).toSeq: _*)
       val dominant = weights.maxBy(_._2)._1
 
       // Words drawn from the element's topic mixture.

@@ -93,19 +93,26 @@ class AlgorithmsSpec extends AnyFunSuite {
     }
   }
 
+  // Four elements with equal δ(e, x): one topic, the same words, no references.
+  private def tiedEngine: KSirEngine = {
+    val e = new KSirEngine(new TopicModel(1, 2, Array(Array(0.5, 0.5))), 200, 0.5, 5.0)
+    e.advance(Bucket(10, Seq(3L, 1L, 4L, 2L).map(id => Element(id, 5, Array(0, 1), Array.empty, SparseVec(0 -> 1.0)))))
+    e
+  }
+
   test("Top-k Representative picks the k max-δ elements") {
-    for (seed <- 0L to 3L; q <- qs) {
-      val eng = smallEngine(seed)
-      val res = TopKRepresentative.query(eng, q, 3)
+    val inputs = (0L to 3L).map(smallEngine).flatMap(eng => qs.map(q => (eng, q))) :+ ((tiedEngine, QueryVector(0 -> 1.0)))
+    for ((eng, q) <- inputs; k <- Seq(1, 2, 3, 5)) {
+      val res = TopKRepresentative.query(eng, q, k)
+      // The first k of A_t by (δ descending, id ascending): a total order.
       val expected = eng.activeElements.toSeq
         .map(ae => (ae.elem.id, eng.deltaScore(ae, q)))
         .filter(_._2 > 0)
         .sortBy { case (id, s) => (-s, id) }
-        .take(3).map(_._1).toSet
-      // Ties can legitimately differ; compare achieved δ-sums instead.
-      val gotSum = res.elements.map(id => eng.deltaScore(eng.activeElement(id).get, q)).sum
-      val expSum = expected.toSeq.map(id => eng.deltaScore(eng.activeElement(id).get, q)).sum
-      assert(math.abs(gotSum - expSum) < 1e-9)
+        .take(k).map(_._1)
+      val what = s"q=${q.entries.toSeq} k=$k"
+      assert(res.elements == expected, what)
+      assert(java.lang.Double.doubleToRawLongBits(res.score) == java.lang.Double.doubleToRawLongBits(eng.evaluate(expected, q)), what)
     }
   }
 

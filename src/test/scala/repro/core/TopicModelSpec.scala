@@ -21,6 +21,14 @@ class TopicModelSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new TopicModel(1, 4, Array(Array(1.0, 0.0))))
   }
 
+  test("constructor rejects topic-word entries outside [0, 1] and NaN") {
+    Seq(1.5, -0.1, Double.NaN, Double.PositiveInfinity).foreach { p =>
+      withClue(s"p = $p: ")(intercept[IllegalArgumentException](new TopicModel(1, 2, Array(Array(p, 0.5)))))
+    }
+    // Rows need not sum to 1.
+    assert(new TopicModel(1, 2, Array(Array(0.2, 0.3))).pWord(0, 1) == 0.3)
+  }
+
   test("infer puts all mass on the only matching topic") {
     val v = model.infer(Seq(0))
     assert(v.toSeq == Seq((0, 1.0)))
@@ -64,6 +72,11 @@ class TopicModelSpec extends AnyFunSuite {
     val q = QueryVector(3 -> 0.5, 1 -> 0.5, 2 -> 0.0)
     assert(q.entries.idx.toSeq == Seq(1, 3))
     assert(q.d == 2)
+  }
+
+  test("QueryVector.apply rejects negative and NaN entries instead of dropping them") {
+    intercept[IllegalArgumentException](QueryVector(0 -> -0.5, 1 -> 1.0))
+    intercept[IllegalArgumentException](QueryVector(0 -> Double.NaN, 1 -> 1.0))
   }
 
   test("QueryVector.x looks up by topic") {
